@@ -47,6 +47,13 @@ class HighestWeight:
     m3: int | None = None
 
     def __post_init__(self) -> None:
+        # exact types: bool and float would pass for ints in the arithmetic
+        m3 = 0 if self.m3 is None else self.m3
+        if type(self.m1) is not int or type(self.m2) is not int or type(m3) is not int:
+            raise TypeError(
+                f"weight must have int coordinates, got "
+                f"({self.m1!r}, {self.m2!r}, {self.m3!r})"
+            )
         if self.m1 < 0 or self.m2 < 0:
             raise ValueError(f"weight must be dominant, got ({self.m1}, {self.m2})")
 

@@ -5,16 +5,23 @@ Three independent routes compute the trace of an order-k element
 highest weight (m1, m2, m3):
 
 * gt_trace: the triple sum over the integral basis of the module, each
-  basis vector contributing zeta_k^(2q - p1 - p2), accumulated in Z[zeta_k];
+  basis vector contributing zeta_k^(2q - p1 - p2).  The basis is counted
+  per residue class of the exponent by closed sums over arithmetic
+  progressions, accumulated in Z[zeta_k]; O(k^2) per call.
 * closed_trace: periodicity tables in (m1 mod k, m2 mod k), plus the
-  symbolic k = 2 form;
+  symbolic k = 2 form; O(1) per call.
 * weyl_det_trace: a 2x2 determinant in complete homogeneous symmetric sums
-  of the eigenvalues (the one-row traces), with H_{-1} = 0.
+  of the eigenvalues (the one-row traces), with H_{-1} = 0.  Each one-row
+  trace counts monomials per residue class of the exponent, again by
+  closed progression sums; O(k) per call.
 
-All three are independent implementations; the verification suite and the
-acceptance tests pin them against each other.  Traces do not depend on m3
-for determinant-one elements, so the closed and determinant routes take
-(m1, m2) only.
+None of the three costs more as the weight grows.  All three are
+independent implementations: gt_trace and weyl_det_trace count basis
+vectors or monomials and never read the tables M3/M4/M6 or call
+closed_trace, so the verification suite and the acceptance tests can pin
+them against each other.  All arithmetic is on Python integers.  Traces do
+not depend on m3 for determinant-one elements, so the closed and
+determinant routes take (m1, m2) only.
 """
 from __future__ import annotations
 
@@ -157,13 +164,34 @@ SL3_TORSION_CLASSES: tuple[TorsionClass, ...] = (
 
 
 def _check_weight(m1: int, m2: int, m3: int = 0) -> None:
+    # exact types: bool and float would pass for ints in the closed sums
+    if type(m1) is not int or type(m2) is not int or type(m3) is not int:
+        raise TypeError(
+            f"weight must have int coordinates, got ({m1!r}, {m2!r}, {m3!r})"
+        )
     if m1 < 0 or m2 < 0:
         raise ValueError(f"weight must be dominant, got ({m1}, {m2}, {m3})")
 
 
 def _check_order(k: int) -> None:
+    if type(k) is not int:
+        raise TypeError(f"order must be an int, got {k!r}")
     if k not in (2, 3, 4, 6):
         raise ValueError(f"order must be one of 2, 3, 4, 6, got {k!r}")
+
+
+def _zeta_sum(counts: list[int], k: int) -> int:
+    """The rational integer sum_e counts[e] zeta_k^e; fails if it is not one."""
+    coefficients = [0] * _PHI[k]
+    for e, count in enumerate(counts):
+        for i, z in enumerate(_ZETA_POWERS[k][e]):
+            coefficients[i] += count * z
+    return CyclotomicInt(k, tuple(coefficients)).to_int()
+
+
+def _power_sums(n: int) -> tuple[int, int]:
+    """sum t and sum t^2 over t = 0..n-1."""
+    return n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
 
 
 def gt_trace(m1: int, m2: int, m3: int, k: int) -> int:
@@ -171,31 +199,47 @@ def gt_trace(m1: int, m2: int, m3: int, k: int) -> int:
 
     The summand zeta_k^(2q - p1 - p2) only depends on d = p1 - p2 and on
     q - p2, so the triple sum collapses to a sum over d of (number of
-    (p1, p2) pairs at distance d) times (sum over one inner run), both
-    computed by elementary interval counting and accumulated per residue
-    class in Z[zeta_k].
+    (p1, p2) pairs at distance d) times (sum over one inner run).  Both
+    factors come from elementary interval counting and are linear in d on
+    arithmetic progressions d = first + k t, so each residue class of the
+    exponent is a closed sum over t.  Cost O(k^2), whatever the weight.
     """
     _check_weight(m1, m2, m3)
     _check_order(k)
+    return _zeta_sum(_gt_counts(m1, m2, m3, k), k)
+
+
+def _gt_counts(m1: int, m2: int, m3: int, k: int) -> list[int]:
+    """Basis vectors of the (m1, m2, m3) module per exponent mod k."""
     lo1, hi1 = m2 + m3, m1 + m2 + m3
     lo2, hi2 = m3, m2 + m3
-    # residue counts of the final element of Z[zeta_k]
     counts = [0] * k
+    # the inner run over j = q - p2 in [0, d] has exponent 2j - d, whose
+    # pattern repeats with period k / gcd(2, k); residue r < period occurs
+    # (d - r) // period + 1 times, which is 0 when r > d
     period = k // 2 if k % 2 == 0 else k
-    for d in range(0, m1 + m2 + 1):
-        pairs = min(hi2, hi1 - d) - max(lo2, lo1 - d) + 1
-        if pairs <= 0:
-            continue
-        # inner run: sum over j = q - p2 in [0, d] of zeta^(2j - d);
-        # the exponent pattern repeats with period k / gcd(2, k)
-        for r in range(min(period, d + 1)):
-            e = (2 * r - d) % k
-            counts[e] += pairs * ((d - r) // period + 1)
-    total = CyclotomicInt.zero(k)
-    for e, c in enumerate(counts):
-        if c:
-            total = total + CyclotomicInt.zeta_power(k, e).scale(c)
-    return total.to_int()
+    step = k // period
+    # pairs(d) = min(hi2, hi1 - d) - max(lo2, lo1 - d) + 1 is linear in d,
+    # alpha + beta d, between its breaks at d = hi1 - hi2 = m1 and
+    # d = lo1 - lo2 = m2
+    low, high = min(m1, m2), max(m1, m2)
+    for a, b in ((0, low), (low + 1, high), (high + 1, m1 + m2)):
+        alpha, beta = (hi2, 0) if b <= m1 else (hi1, -1)
+        if b <= m2:
+            alpha, beta = alpha - lo1 + 1, beta + 1
+        else:
+            alpha -= lo2 - 1
+        # on d = first + k t, t = 0..n-1, pairs(d) = p + q t and residue r
+        # of the inner run occurs c + step t times, so the residue gains
+        # sum_t (p + q t)(c + step t) = c x + y
+        for first in range(a, min(a + k, b + 1)):
+            n = (b - first) // k + 1
+            s1, s2 = _power_sums(n)
+            p, q = alpha + beta * first, beta * k
+            x, y = p * n + q * s1, step * (p * s1 + q * s2)
+            for r in range(period):
+                counts[(2 * r - first) % k] += ((first - r) // period + 1) * x + y
+    return counts
 
 
 def gt_character(
@@ -214,13 +258,14 @@ def gt_character(
     """
     _check_weight(m1, m2, m3)
     lam_sum = m1 + 2 * m2 + 3 * m3
+    # every exponent below lies in [m3, m1 + m2 + m3]
+    exponents = range(m3, m1 + m2 + m3 + 1)
+    pow1, pow2, pow3 = ({e: t.power(e) for e in exponents} for t in (t1, t2, t3))
     total = CyclotomicInt.zero(t1.order)
     for p1 in range(m2 + m3, m1 + m2 + m3 + 1):
         for p2 in range(m3, m2 + m3 + 1):
             for q in range(p2, p1 + 1):
-                total = total + t1.power(q) * t2.power(p1 + p2 - q) * t3.power(
-                    lam_sum - p1 - p2
-                )
+                total = total + pow1[q] * pow2[p1 + p2 - q] * pow3[lam_sum - p1 - p2]
     return total
 
 
@@ -285,24 +330,33 @@ def closed_trace(m1: int, m2: int, m3: int, k: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _h_row(m: int, k: int) -> int:
     """Complete homogeneous symmetric sum h_m(1, zeta_k, zeta_k^-1).
 
-    Computed by honest monomial enumeration in Z[zeta_k], with h_m = 0 for
-    m < 0.  Always a rational integer (the sum is Galois stable).
+    h_m = 0 for m < 0.  Always a rational integer (the sum is Galois
+    stable).  Cost O(k), whatever m.
     """
-    if m < 0:
-        return 0
+    return _zeta_sum(_h_counts(m, k), k) if m >= 0 else 0
+
+
+def _h_counts(m: int, k: int) -> list[int]:
+    """Monomials x^a y^b z^c of degree m >= 0 per exponent b - c mod k.
+
+    Exactly (m - u) // 2 + 1 monomials have b - c = u, and as many have
+    b - c = -u, for 0 <= u <= m.  On u = s + 2k t that count is linear in
+    t, so each residue s mod 2k is one closed sum, folded onto the
+    exponents +s and -s mod k.
+    """
     counts = [0] * k
-    for b in range(m + 1):
-        for c in range(m + 1 - b):
-            counts[(b - c) % k] += 1
-    total = CyclotomicInt.zero(k)
-    for e, cnt in enumerate(counts):
-        if cnt:
-            total = total + CyclotomicInt.zeta_power(k, e).scale(cnt)
-    return total.to_int()
+    for s in range(min(2 * k, m + 1)):
+        n = (m - s) // (2 * k) + 1
+        weight = n * ((m - s) // 2 + 1) - k * _power_sums(n)[0]
+        counts[s % k] += weight
+        counts[-s % k] += weight
+    # u = 0 was folded twice
+    counts[0] -= m // 2 + 1
+    return counts
 
 
 def weyl_det_trace(m1: int, m2: int, k: int) -> int:

@@ -55,3 +55,49 @@ def test_injected_fault_leaves_other_orders_alone(monkeypatch):
     assert failures
     assert all(f["params"]["k"] == 6 for f in failures)
     assert all(f["check"] == "gt_trace_vs_closed_trace" for f in failures)
+
+
+@pytest.fixture
+def cold_h_row():
+    # _h_row caches its values, so a fault in the counts underneath it
+    # shows only on a cold cache, and must not outlive the test
+    traces._h_row.cache_clear()
+    yield
+    traces._h_row.cache_clear()
+
+
+def test_injected_h_row_fault_is_caught(monkeypatch, cold_h_row):
+    clean = traces._h_counts
+
+    def corrupted(m, k):
+        counts = clean(m, k)
+        if k == 6 and m % 6 == 1:
+            counts[0] += 1
+        return counts
+
+    monkeypatch.setattr(traces, "_h_counts", corrupted)
+    report = run_all(max_weight=6)
+    assert not report["ok"]
+    names = {f["check"] for f in report["failures"]}
+    assert names == {"gt_trace_vs_weyl_det_trace"}
+    assert all(f["params"]["k"] == 6 for f in report["failures"])
+
+
+def test_injected_gt_trace_fault_is_caught(monkeypatch):
+    clean = traces._gt_counts
+
+    def corrupted(m1, m2, m3, k):
+        counts = clean(m1, m2, m3, k)
+        if k == 6 and (m1 % 6, m2 % 6) == (1, 1):
+            counts[0] += 1
+        return counts
+
+    monkeypatch.setattr(traces, "_gt_counts", corrupted)
+    report = run_all(max_weight=6)
+    assert not report["ok"]
+    names = {f["check"] for f in report["failures"]}
+    assert "gt_trace_vs_closed_trace" in names
+    hits = [f for f in report["failures"] if f["check"] == "gt_trace_vs_closed_trace"]
+    assert {(f["params"]["m1"], f["params"]["m2"], f["params"]["k"]) for f in hits} == {
+        (1, 1, 6)
+    }

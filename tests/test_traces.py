@@ -2,6 +2,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sl3coh import traces
+from sl3coh.rootsystem import HighestWeight
 from sl3coh.traces import (
     CyclotomicInt,
     SL3_TORSION_CLASSES,
@@ -97,8 +99,8 @@ def test_grouped_trace_matches_direct_character(k, m3):
     t1 = CyclotomicInt.integer(k, 1)
     t2 = CyclotomicInt.zeta_power(k, 1)
     t3 = CyclotomicInt.zeta_power(k, k - 1)
-    for m1 in range(6):
-        for m2 in range(6):
+    for m1 in range(11):
+        for m2 in range(11):
             direct = gt_character(m1, m2, m3, t1, t2, t3).to_int()
             assert gt_trace(m1, m2, m3, k) == direct
 
@@ -155,6 +157,116 @@ def test_trace_validation():
         weyl_det_trace(0, -2, 3)
     with pytest.raises(ValueError):
         gt_trace(-3, 0, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gt_trace(True, 2, 0, 3),
+        lambda: gt_trace(1.5, 2, 0, 3),
+        lambda: gt_trace(4, 2.0, 0, 6),
+        lambda: gt_trace(4, 2, 0.0, 6),
+        lambda: gt_trace(4, "2", 0, 6),
+        lambda: weyl_det_trace(True, 2, 3),
+        lambda: weyl_det_trace(2, 1.0, 4),
+        lambda: closed_trace(3.0, 0, 0, 2),
+        lambda: closed_trace(1, 1, 0, 6.0),
+        lambda: gt_trace(1, 1, 0, 6.0),
+        lambda: HighestWeight(True, 2),
+        lambda: HighestWeight(1.5, 2),
+        lambda: HighestWeight(1, 2.0),
+        lambda: HighestWeight(1, 2, False),
+        lambda: HighestWeight(1, 2, 0.5),
+    ],
+)
+def test_non_integer_weights_and_orders_are_rejected(call):
+    with pytest.raises(TypeError, match="must (be an|have) int"):
+        call()
+
+
+# test-only reference for the closed progression sums of gt_trace: the
+# direct O(m1 + m2) loop over d = p1 - p2
+def _gt_trace_by_d(m1, m2, m3, k):
+    lo1, hi1 = m2 + m3, m1 + m2 + m3
+    lo2, hi2 = m3, m2 + m3
+    counts = [0] * k
+    period = k // 2 if k % 2 == 0 else k
+    for d in range(0, m1 + m2 + 1):
+        pairs = min(hi2, hi1 - d) - max(lo2, lo1 - d) + 1
+        if pairs <= 0:
+            continue
+        for r in range(min(period, d + 1)):
+            e = (2 * r - d) % k
+            counts[e] += pairs * ((d - r) // period + 1)
+    total = CyclotomicInt.zero(k)
+    for e, c in enumerate(counts):
+        total = total + CyclotomicInt.zeta_power(k, e).scale(c)
+    return total.to_int()
+
+
+# test-only reference for the closed progression sums of _h_row: the
+# direct O(m^2) monomial enumeration
+def _h_row_by_monomials(m, k):
+    if m < 0:
+        return 0
+    counts = [0] * k
+    for b in range(m + 1):
+        for c in range(m + 1 - b):
+            counts[(b - c) % k] += 1
+    total = CyclotomicInt.zero(k)
+    for e, cnt in enumerate(counts):
+        total = total + CyclotomicInt.zeta_power(k, e).scale(cnt)
+    return total.to_int()
+
+
+@given(
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from(TRACE_ORDERS),
+)
+def test_gt_trace_matches_the_loop_over_d(m1, m2, m3, k):
+    assert gt_trace(m1, m2, m3, k) == _gt_trace_by_d(m1, m2, m3, k)
+
+
+@given(st.integers(min_value=-2, max_value=400), st.sampled_from(TRACE_ORDERS))
+def test_h_row_matches_monomial_enumeration(m, k):
+    assert traces._h_row(m, k) == _h_row_by_monomials(m, k)
+
+
+# the piece edges of pairs(d): m1 = m2, min(m1, m2) < period,
+# m1 + m2 < period, and a zero coordinate
+_EDGE_WEIGHTS = [(m, m) for m in (0, 1, 2, 5, 6, 7, 37)] + [
+    (0, 0), (0, 1), (1, 0), (2, 0), (0, 3), (1, 1), (2, 3), (4, 1),
+    (0, 50), (50, 0), (1, 50), (50, 2), (5, 61), (61, 2), (0, 400), (400, 0),
+]
+
+
+@pytest.mark.parametrize("k", TRACE_ORDERS)
+@pytest.mark.parametrize("m3", [-3, 0, 2])
+def test_gt_trace_at_piece_edges(k, m3):
+    for m1, m2 in _EDGE_WEIGHTS:
+        assert gt_trace(m1, m2, m3, k) == _gt_trace_by_d(m1, m2, m3, k)
+
+
+@pytest.mark.parametrize("k", TRACE_ORDERS)
+def test_h_row_at_small_and_period_edges(k):
+    for m in range(-2, 4 * k + 3):
+        assert traces._h_row(m, k) == _h_row_by_monomials(m, k)
+
+
+@pytest.mark.parametrize("k", TRACE_ORDERS)
+def test_routes_agree_near_10_to_the_12(k):
+    # no enumerating route reaches these weights; all three do not grow
+    # with the weight, so every residue cell mod 12 is checked directly
+    big = 10**12
+    for a in range(12):
+        for b in range(12):
+            for m1, m2 in ((big + a, big + b), (big + a, b), (a, big + b)):
+                value = closed_trace(m1, m2, 0, k)
+                assert gt_trace(m1, m2, 0, k) == value
+                assert gt_trace(m1, m2, 7, k) == value
+                assert weyl_det_trace(m1, m2, k) == value
 
 
 # in the order-R ring holding -1, the eigenvalues 1, zeta_k, zeta_k^-1 and
