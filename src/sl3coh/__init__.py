@@ -19,6 +19,7 @@ from .boundary import (
     d1_rank,
     e1_page,
 )
+from .errors import CrossCheckError
 from .eisenstein import (
     EisensteinReport,
     GhostReport,

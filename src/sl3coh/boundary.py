@@ -8,13 +8,15 @@ an explicit rank rule, and E2 = E_infinity gives the boundary cohomology in
 degrees 0..4.
 
 The result is also available as a closed case formula (case_profile); the
-spectral sequence assembly asserts agreement by default.
+spectral sequence assembly checks agreement by default and raises
+CrossCheckError on a mismatch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import CrossCheckError
 from .gl2 import ACTUAL, EULER, GL2Weight, dim_cusp_forms, h1_split
 from .parity import case_classifier, survivor_sets
 from .rootsystem import HighestWeight, restrict_to_levi
@@ -62,19 +64,31 @@ def cusp(k: int, mult: int = 1) -> CohomologySummand:
     return CohomologySummand(CUSP, k=k, mult=mult)
 
 
+# the summands of a face term that is one invariant line
+_ONE_LINE = (trivial_line(),)
+
+
+def _order(s: CohomologySummand) -> tuple[int, int]:
+    return _KIND_ORDER[s.kind], s.k or 0
+
+
 def _merge(summands) -> tuple[CohomologySummand, ...]:
     """Collect multiplicities and sort into the canonical order."""
-    acc: dict[tuple[str, int | None], int] = {}
+    acc: dict[tuple[str, int | None], CohomologySummand] = {}
     for s in summands:
         key = (s.kind, s.k)
-        acc[key] = acc.get(key, 0) + s.mult
-    out = [
-        CohomologySummand(kind, k=k, mult=m)
-        for (kind, k), m in acc.items()
-        if m > 0
-    ]
-    out.sort(key=lambda s: (_KIND_ORDER[s.kind], s.k or 0))
-    return tuple(out)
+        seen = acc.get(key)
+        acc[key] = s if seen is None else CohomologySummand(
+            s.kind, k=s.k, mult=seen.mult + s.mult
+        )
+    return tuple(sorted(acc.values(), key=_order))
+
+
+def _dimension(summands, convention: str) -> int:
+    total = 0
+    for s in summands:
+        total += s.dimension(convention)
+    return total
 
 
 @dataclass(frozen=True)
@@ -103,15 +117,20 @@ class GradedProfile:
         return ()
 
     def dimension(self, q: int, convention: str = ACTUAL) -> int:
-        return sum(s.dimension(convention) for s in self.summands(q))
+        return _dimension(self.summands(q), convention)
 
     def total_dimension(self, convention: str = ACTUAL) -> int:
-        return sum(self.dimension(q, convention) for q in self.degrees())
+        total = 0
+        for _, summands in self.by_degree:
+            total += _dimension(summands, convention)
+        return total
 
     def euler_characteristic(self, convention: str = ACTUAL) -> int:
-        return sum(
-            (-1) ** q * self.dimension(q, convention) for q in self.degrees()
-        )
+        total = 0
+        for q, summands in self.by_degree:
+            dim = _dimension(summands, convention)
+            total += -dim if q % 2 else dim
+        return total
 
     def multiset(self, q: int) -> dict:
         """Summand multiplicities at degree q, for order-free comparison."""
@@ -134,7 +153,11 @@ class E1Term:
     summands: tuple[CohomologySummand, ...]
 
     def trivial_lines(self) -> int:
-        return sum(s.mult for s in self.summands if s.kind == TRIVIAL)
+        lines = 0
+        for s in self.summands:
+            if s.kind == TRIVIAL:
+                lines += s.mult
+        return lines
 
 
 @dataclass(frozen=True)
@@ -158,16 +181,12 @@ def e1_page(lam: HighestWeight) -> E1Page:
     col0: dict[int, list[E1Term]] = {}
     col1: dict[int, list[E1Term]] = {}
     for w in sets.w0:
-        col1.setdefault(w.length, []).append(
-            E1Term("P0", w.name, 0, (trivial_line(),))
-        )
+        col1.setdefault(w.length, []).append(E1Term("P0", w.name, 0, _ONE_LINE))
     for levi, tag, wset in ((1, "P1", sets.w1), (2, "P2", sets.w2)):
         for w in wset:
             r = restrict_to_levi(w, lam, levi)
             if r.a == 0:
-                col0.setdefault(w.length, []).append(
-                    E1Term(tag, w.name, 0, (trivial_line(),))
-                )
+                col0.setdefault(w.length, []).append(E1Term(tag, w.name, 0, _ONE_LINE))
                 continue
             split = h1_split(GL2Weight(r.a, r.n))
             summands = [cusp(r.a + 2)]
@@ -176,8 +195,10 @@ def e1_page(lam: HighestWeight) -> E1Page:
             col0.setdefault(w.length + 1, []).append(
                 E1Term(tag, w.name, 1, tuple(summands))
             )
-    assert all(0 <= q <= 3 for q in col0), col0
-    assert all(0 <= q <= 3 for q in col1), col1
+    if not all(0 <= q <= 3 for q in (*col0, *col1)):
+        raise CrossCheckError(
+            f"E1 page of {lam} outside degrees 0..3: columns {col0}, {col1}"
+        )
     return E1Page(
         col0=tuple((q, tuple(col0[q])) for q in sorted(col0)),
         col1=tuple((q, tuple(col1[q])) for q in sorted(col1)),
@@ -192,17 +213,24 @@ def d1_rank(lam: HighestWeight, q: int) -> int:
     Eisenstein line in the same degree.  Cusp summands never hit it.
     """
     page = e1_page(lam.sl3_part())
-    targets = len(page.column(1).get(q, ()))
-    assert targets <= 1, (lam, q, targets)
-    sources = sum(t.trivial_lines() for t in page.column(0).get(q, ()))
-    return 1 if targets and sources else 0
+    return _d1_rank(lam, page.column(0), page.column(1), q)
+
+
+def _d1_rank(lam: HighestWeight, col0: dict, col1: dict, q: int) -> int:
+    """d1_rank on columns already taken out of the E1 page of lam."""
+    targets = len(col1.get(q, ()))
+    if targets > 1:
+        raise CrossCheckError(f"d1 of {lam} in degree {q} has {targets} targets")
+    if not targets:
+        return 0
+    return 1 if any(t.trivial_lines() for t in col0.get(q, ())) else 0
 
 
 def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProfile:
     """H^*(boundary) in degrees 0..4 via the spectral sequence.
 
-    With cross_check (the default) the result is asserted equal to the
-    closed case formula.
+    With cross_check (the default) the result must equal the closed case
+    formula, or CrossCheckError is raised.
     """
     lam = lam.sl3_part()
     page = e1_page(lam)
@@ -211,7 +239,7 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     e2_0: dict[int, list[CohomologySummand]] = {}
     e2_1: dict[int, int] = {}
     for q in range(4):
-        rank = d1_rank(lam, q)
+        rank = _d1_rank(lam, col0, col1, q)
         summands = [s for t in col0.get(q, ()) for s in t.summands]
         if rank:
             # quotient by the image: remove one of the mapping lines
@@ -223,7 +251,7 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
                         del summands[idx]
                     break
             else:
-                raise AssertionError(f"rank 1 with no line to map at {lam}, q={q}")
+                raise CrossCheckError(f"rank 1 with no line to map at {lam}, q={q}")
         if summands:
             e2_0[q] = summands
         lines = len(col1.get(q, ())) - rank
@@ -239,7 +267,11 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     profile = GradedProfile.build(case_classifier(lam), by_degree)
     if cross_check:
         expected = case_profile(lam)
-        assert profile == expected, (lam, profile, expected)
+        if profile != expected:
+            raise CrossCheckError(
+                f"spectral sequence gives {profile} at {lam}, "
+                f"case formula {expected}"
+            )
     return profile
 
 

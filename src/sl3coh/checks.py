@@ -123,6 +123,19 @@ def check_gl2_routes(max_weight: int) -> list[dict]:
     return failures
 
 
+# the Weyl group automorphism induced by swapping m1 and m2
+_SWAP = {"e": "e", "s1": "s2", "s2": "s1", "s1s2": "s2s1", "s2s1": "s1s2",
+         "s1s2s1": "s1s2s1"}
+
+
+def _swapped(ws) -> list[str]:
+    return sorted(_SWAP[w.name] for w in ws)
+
+
+def _plain(ws) -> list[str]:
+    return sorted(w.name for w in ws)
+
+
 def check_survivors(max_weight: int) -> list[dict]:
     """Surviving Levi weights have even coordinates; reflection symmetry."""
     failures = []
@@ -142,19 +155,10 @@ def check_survivors(max_weight: int) -> list[dict]:
                             )
                         )
             mirror = survivor_sets(HighestWeight(m2, m1))
-            swap = {"e": "e", "s1": "s2", "s2": "s1", "s1s2": "s2s1",
-                    "s2s1": "s1s2", "s1s2s1": "s1s2s1"}
-
-            def swapped(ws):
-                return sorted(swap[w.name] for w in ws)
-
-            def plain(ws):
-                return sorted(w.name for w in ws)
-
             if (
-                swapped(sets.w1) != plain(mirror.w2)
-                or swapped(sets.w2) != plain(mirror.w1)
-                or swapped(sets.w0) != plain(mirror.w0)
+                _swapped(sets.w1) != _plain(mirror.w2)
+                or _swapped(sets.w2) != _plain(mirror.w1)
+                or _swapped(sets.w0) != _plain(mirror.w0)
             ):
                 failures.append(
                     _fail(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import __version__
 from .boundary import GradedProfile, boundary_profile
@@ -349,8 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than a report."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "cohomology":
         if args.group == "sl3" and args.m3 is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CrossCheckError
 from .gl2 import EULER, dim_cusp_forms
 from .rootsystem import HighestWeight
 from .traces import SL3_TORSION_CLASSES, closed_trace
@@ -23,15 +24,20 @@ from .traces import SL3_TORSION_CLASSES, closed_trace
 
 def sl3_euler_wall(lam: HighestWeight) -> int:
     """chi_h(SL3(Z), M_lam) as the rational sum over torsion classes."""
-    total = Fraction(0)
+    # the running sum is num / den, kept in integers
+    num, den = 0, 1
     for cls in SL3_TORSION_CLASSES:
         if cls.order == 0:
             continue  # identity class: centralizer chi is 0
-        total += cls.centralizer_chi * cls.resultant * closed_trace(
-            lam.m1, lam.m2, 0, cls.order
+        chi = cls.centralizer_chi
+        trace = closed_trace(lam.m1, lam.m2, 0, cls.order)
+        term = chi.numerator * cls.resultant * trace
+        num, den = num * chi.denominator + term * den, den * chi.denominator
+    if num % den != 0:
+        raise CrossCheckError(
+            f"torsion sum at {lam} is {Fraction(num, den)}, not an integer"
         )
-    assert total.denominator == 1, (lam, total)
-    return int(total)
+    return num // den
 
 
 def sl3_euler_closed(lam: HighestWeight) -> int:
@@ -80,7 +86,8 @@ class SymbolicCell:
             num = m2 - self.offset
         else:
             raise ValueError(f"unknown cell kind {self.kind!r}")
-        assert num % 12 == 0, (self, m1, m2)
+        if num % 12 != 0:
+            raise CrossCheckError(f"{self} does not divide at ({m1}, {m2})")
         return num // 12 + self.shift
 
     def render(self) -> str:
@@ -162,13 +169,16 @@ class EulerReport:
 
 
 def euler_report(lam: HighestWeight) -> EulerReport:
-    """Compute both routes and the table cell; they must agree."""
+    """Compute both routes and the table cell; CrossCheckError unless they agree."""
     sl3 = lam.sl3_part()
     wall = sl3_euler_wall(sl3)
     closed = sl3_euler_closed(sl3)
     cell = symbolic_cell(sl3.m1 % 12, sl3.m2 % 12)
     value = cell.evaluate(sl3.m1, sl3.m2)
-    assert wall == closed == value, (lam, wall, closed, value)
+    if not wall == closed == value:
+        raise CrossCheckError(
+            f"chi at {lam}: torsion sum {wall}, closed {closed}, table cell {value}"
+        )
     return EulerReport(
         weight=lam,
         chi_wall=wall,

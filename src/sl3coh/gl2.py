@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import CrossCheckError
+
 ACTUAL = "actual"
 EULER = "euler"
 
@@ -135,7 +137,10 @@ def gl2_euler_wall(m: int, det_twist: int) -> int:
         + Fraction(1, 4) * tr_4
         + Fraction(1, 6) * tr_6
     )
-    assert total.denominator == 1, (m, det_twist, total)
+    if total.denominator != 1:
+        raise CrossCheckError(
+            f"GL2 torsion sum at m={m}, det_twist={det_twist} is {total}"
+        )
     return int(total)
 
 

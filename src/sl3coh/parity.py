@@ -18,7 +18,6 @@ from .rootsystem import (
     P1,
     P2,
     WeylElement,
-    dot_action,
     kostant_set,
     restrict_to_levi,
 )
@@ -35,8 +34,9 @@ class SurvivorSets:
 
 def minimal_parabolic_survives(w: WeylElement, lam: HighestWeight) -> bool:
     """True iff the P0 face line for w survives: both coordinates even."""
-    g1, g2 = dot_action(w, lam).fundamental()
-    return g1 % 2 == 0 and g2 % 2 == 0
+    # the fundamental coordinates of w . lam are c1 - c2 and c2 - c3
+    c1, c2, c3 = w.dot(lam)
+    return (c1 - c2) % 2 == 0 and (c2 - c3) % 2 == 0
 
 
 def maximal_parabolic_survives(w: WeylElement, lam: HighestWeight, levi: int) -> bool:

@@ -10,8 +10,10 @@ positive roots alpha1 = e1 - e2, alpha2 = e2 - e3, alpha1 + alpha2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+
+from .errors import CrossCheckError
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class HighestWeight:
 
     def sl3_part(self) -> "HighestWeight":
         """Forget the determinant power."""
-        return HighestWeight(self.m1, self.m2)
+        return self if self.m3 is None else HighestWeight(self.m1, self.m2)
 
     def dual(self) -> "HighestWeight":
         """Highest weight of the contragredient SL3 representation."""
@@ -77,16 +79,33 @@ class WeylElement:
     name: str
     perm: tuple[int, int, int]
     reduced_word: tuple[int, ...]
+    # source[j] is the i with perm[i] = j + 1: coordinate j of the image
+    # is coordinate source[j] of the argument
+    source: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        source = tuple(self.perm.index(j + 1) for j in range(3))
+        object.__setattr__(self, "source", source)
 
     @property
     def length(self) -> int:
         return len(self.reduced_word)
 
     def apply(self, w: EpsilonWeight) -> EpsilonWeight:
-        out = [0, 0, 0]
-        for i, c in enumerate(w.coords()):
-            out[self.perm[i] - 1] = c
-        return EpsilonWeight(*out)
+        c = w.coords()
+        i, j, k = self.source
+        return EpsilonWeight(c[i], c[j], c[k])
+
+    def dot(self, lam: HighestWeight) -> tuple[int, int, int]:
+        """w(lam + rho) - rho as a plain triple; SL3 weights take m3 = 0.
+
+        The integer form behind dot_action and restrict_to_levi.
+        """
+        m3 = lam.m3 or 0
+        # lam + rho, with rho = (1, 0, -1)
+        shifted = (lam.m1 + lam.m2 + m3 + 1, lam.m2 + m3, m3 - 1)
+        i, j, k = self.source
+        return shifted[i] - 1, shifted[j], shifted[k] + 1
 
 
 E = WeylElement("e", (1, 2, 3), ())
@@ -99,8 +118,6 @@ W0 = WeylElement("s1s2s1", (3, 2, 1), (1, 2, 1))
 WEYL_GROUP: tuple[WeylElement, ...] = (E, S1, S2, S12, S21, W0)
 _BY_PERM = {w.perm: w for w in WEYL_GROUP}
 _BY_NAME = {w.name: w for w in WEYL_GROUP}
-
-RHO = EpsilonWeight(1, 0, -1)
 
 # roots as epsilon triples
 ALPHA1 = (1, -1, 0)
@@ -201,18 +218,19 @@ def kostant_set(p: Parabolic) -> tuple[WeylElement, ...]:
     return tuple(out)
 
 
+# the Kostant sets of the maximal parabolics, by Levi index
+_LEVI_KOSTANT = {1: kostant_set(P1), 2: kostant_set(P2)}
+
+
 def dot_action(w: WeylElement, lam: HighestWeight) -> EpsilonWeight:
     """The rho-shifted action w . lam = w(lam + rho) - rho.
 
     SL3 weights come back normalized to c3 = 0; GL3 weights stay honest.
     """
-    eps = lam.epsilon()
-    shifted = EpsilonWeight(eps.c1 + RHO.c1, eps.c2 + RHO.c2, eps.c3 + RHO.c3)
-    moved = w.apply(shifted)
-    out = EpsilonWeight(moved.c1 - RHO.c1, moved.c2 - RHO.c2, moved.c3 - RHO.c3)
+    c1, c2, c3 = w.dot(lam)
     if lam.m3 is None:
-        out = out.normalized()
-    return out
+        return EpsilonWeight(c1 - c3, c2 - c3, 0)
+    return EpsilonWeight(c1, c2, c3)
 
 
 def restrict_to_levi(w: WeylElement, lam: HighestWeight, levi: int) -> LeviWeight:
@@ -225,13 +243,16 @@ def restrict_to_levi(w: WeylElement, lam: HighestWeight, levi: int) -> LeviWeigh
     """
     if levi not in (1, 2):
         raise ValueError(f"levi must be 1 or 2, got {levi!r}")
-    p = P1 if levi == 1 else P2
-    if w not in kostant_set(p):
-        raise ValueError(f"{w.name} is not a Kostant representative for {p.tag}")
-    c1, c2, c3 = dot_action(w, lam).coords()
+    if w not in _LEVI_KOSTANT[levi]:
+        raise ValueError(f"{w.name} is not a Kostant representative for P{levi}")
+    c1, c2, c3 = w.dot(lam)
     if levi == 1:
         a, n = c2 - c3, c2 + c3 - 2 * c1
     else:
         a, n = c1 - c2, c1 + c2 - 2 * c3
-    assert (a - n) % 2 == 0, (w.name, lam, levi, a, n)
+    if (a - n) % 2 != 0:
+        raise CrossCheckError(
+            f"Levi weight (a, n) = ({a}, {n}) of {w.name} . {lam} on levi {levi} "
+            f"has a != n mod 2"
+        )
     return LeviWeight(a, n, levi)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 # Euler phi for the orders with integer or quadratic cyclotomic rings
 _PHI = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2}
@@ -43,6 +44,10 @@ _ZETA_POWERS = {
     4: ((1, 0), (0, 1), (-1, 0), (0, -1)),
     6: ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
 }
+
+# the same, by coefficient: _ZETA_COLUMNS[k][i][e] is coefficient i of
+# zeta_k^e
+_ZETA_COLUMNS = {k: tuple(zip(*powers)) for k, powers in _ZETA_POWERS.items()}
 
 
 @dataclass(frozen=True)
@@ -182,16 +187,14 @@ def _check_order(k: int) -> None:
 
 def _zeta_sum(counts: list[int], k: int) -> int:
     """The rational integer sum_e counts[e] zeta_k^e; fails if it is not one."""
-    coefficients = [0] * _PHI[k]
-    for e, count in enumerate(counts):
-        for i, z in enumerate(_ZETA_POWERS[k][e]):
-            coefficients[i] += count * z
-    return CyclotomicInt(k, tuple(coefficients)).to_int()
-
-
-def _power_sums(n: int) -> tuple[int, int]:
-    """sum t and sum t^2 over t = 0..n-1."""
-    return n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
+    columns = _ZETA_COLUMNS[k]
+    constant = sum(map(mul, counts, columns[0]))
+    # phi(k) <= 2: at most one coefficient besides the constant
+    if len(columns) > 1:
+        linear = sum(map(mul, counts, columns[1]))
+        if linear:
+            CyclotomicInt(k, (constant, linear)).to_int()  # raises
+    return constant
 
 
 def gt_trace(m1: int, m2: int, m3: int, k: int) -> int:
@@ -209,37 +212,74 @@ def gt_trace(m1: int, m2: int, m3: int, k: int) -> int:
     return _zeta_sum(_gt_counts(m1, m2, m3, k), k)
 
 
+def _inner_runs(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per f = d mod k, the (exponent mod k, count) pairs of the run at d = f.
+
+    The inner run over j = q - p2 in [0, d] has exponent 2j - d, whose
+    pattern repeats with period k / gcd(2, k); residue r < period occurs
+    (d - r) // period + 1 times, which is 0 when r > d.
+    """
+    period = k // 2 if k % 2 == 0 else k
+    return tuple(
+        tuple(((2 * r - f) % k, (f - r) // period + 1) for r in range(period))
+        for f in range(k)
+    )
+
+
+_INNER_RUNS = {k: _inner_runs(k) for k in (2, 3, 4, 6)}
+
+
 def _gt_counts(m1: int, m2: int, m3: int, k: int) -> list[int]:
     """Basis vectors of the (m1, m2, m3) module per exponent mod k."""
     lo1, hi1 = m2 + m3, m1 + m2 + m3
     lo2, hi2 = m3, m2 + m3
-    counts = [0] * k
-    # the inner run over j = q - p2 in [0, d] has exponent 2j - d, whose
-    # pattern repeats with period k / gcd(2, k); residue r < period occurs
-    # (d - r) // period + 1 times, which is 0 when r > d
-    period = k // 2 if k % 2 == 0 else k
-    step = k // period
+    # moving d up by k adds k / period = gcd(2, k) to every run count
+    step = 2 if k % 2 == 0 else 1
     # pairs(d) = min(hi2, hi1 - d) - max(lo2, lo1 - d) + 1 is linear in d,
     # alpha + beta d, between its breaks at d = hi1 - hi2 = m1 and
     # d = lo1 - lo2 = m2
-    low, high = min(m1, m2), max(m1, m2)
+    low, high = (m1, m2) if m1 <= m2 else (m2, m1)
+    # xs[f] sums pairs(d), ys[f] sums (d // k) pairs(d), over d = f mod k
+    xs, ys = [0] * k, [0] * k
     for a, b in ((0, low), (low + 1, high), (high + 1, m1 + m2)):
         alpha, beta = (hi2, 0) if b <= m1 else (hi1, -1)
         if b <= m2:
             alpha, beta = alpha - lo1 + 1, beta + 1
         else:
             alpha -= lo2 - 1
-        # on d = first + k t, t = 0..n-1, pairs(d) = p + q t and residue r
-        # of the inner run occurs c + step t times, so the residue gains
-        # sum_t (p + q t)(c + step t) = c x + y
+        q = beta * k
+        # on d = first + k t, t = 0..n-1, pairs(d) = p + q t; with
+        # first = k j + f, d // k = j + t.  j and f step along with first.
+        j, f = divmod(a, k)
         for first in range(a, min(a + k, b + 1)):
             n = (b - first) // k + 1
-            s1, s2 = _power_sums(n)
-            p, q = alpha + beta * first, beta * k
-            x, y = p * n + q * s1, step * (p * s1 + q * s2)
-            for r in range(period):
-                counts[(2 * r - first) % k] += ((first - r) // period + 1) * x + y
+            s1 = n * (n - 1) // 2
+            p = alpha + beta * first
+            x = p * n + q * s1
+            xs[f] += x
+            # sum_t (j + t)(p + q t), with sum_t t^2 = s1 (2n - 1) / 3
+            ys[f] += j * x + p * s1 + q * (s1 * (2 * n - 1) // 3)
+            f += 1
+            if f == k:
+                j, f = j + 1, 0
+    # at d = k J + f the run count of a residue is its count at d = f plus
+    # step J, so the residue gains count x + step y
+    counts = [0] * k
+    for runs, x, y in zip(_INNER_RUNS[k], xs, ys):
+        y *= step
+        for e, count in runs:
+            counts[e] += count * x + y
     return counts
+
+
+def _power(t: CyclotomicInt, e: int) -> CyclotomicInt:
+    """t^e for any integer e; e < 0 needs t to be a root of unity."""
+    if e >= 0:
+        return t.power(e)
+    # the roots of unity of Z[zeta_k], k | 4 or k | 6, have order dividing 12
+    if t.power(12) != CyclotomicInt.integer(t.order, 1):
+        raise ValueError(f"negative exponent {e} needs a root of unity, got {t}")
+    return t.power(e % 12)
 
 
 def gt_character(
@@ -254,13 +294,15 @@ def gt_character(
 
     Each basis vector of the (m1, m2, m3) module has weight
     (q, p1 + p2 - q, m1 + 2 m2 + 3 m3 - p1 - p2).  Cubic in the weight, so
-    only for small m; the grouped gt_trace is the production route.
+    only for small m; the grouped gt_trace is the production route.  For
+    m3 < 0 some exponents are negative, so t1, t2, t3 must then be roots
+    of unity.
     """
     _check_weight(m1, m2, m3)
     lam_sum = m1 + 2 * m2 + 3 * m3
     # every exponent below lies in [m3, m1 + m2 + m3]
     exponents = range(m3, m1 + m2 + m3 + 1)
-    pow1, pow2, pow3 = ({e: t.power(e) for e in exponents} for t in (t1, t2, t3))
+    pow1, pow2, pow3 = ({e: _power(t, e) for e in exponents} for t in (t1, t2, t3))
     total = CyclotomicInt.zero(t1.order)
     for p1 in range(m2 + m3, m1 + m2 + m3 + 1):
         for p2 in range(m3, m2 + m3 + 1):
@@ -351,7 +393,8 @@ def _h_counts(m: int, k: int) -> list[int]:
     counts = [0] * k
     for s in range(min(2 * k, m + 1)):
         n = (m - s) // (2 * k) + 1
-        weight = n * ((m - s) // 2 + 1) - k * _power_sums(n)[0]
+        # sum of (m - s) // 2 + 1 - k t over t = 0..n-1
+        weight = n * ((m - s) // 2 + 1) - k * (n * (n - 1) // 2)
         counts[s % k] += weight
         counts[-s % k] += weight
     # u = 0 was folded twice

@@ -1,8 +1,16 @@
 """The cross-route verification suite, including an injected-fault run."""
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
-from sl3coh import traces
+from sl3coh import CrossCheckError, boundary, parity, traces
 from sl3coh.checks import CHECKS, check_trace_routes, run_all
+from sl3coh.rootsystem import WeylElement
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_run_all_is_green():
@@ -101,3 +109,75 @@ def test_injected_gt_trace_fault_is_caught(monkeypatch):
     assert {(f["params"]["m1"], f["params"]["m2"], f["params"]["k"]) for f in hits} == {
         (1, 1, 6)
     }
+
+
+@pytest.fixture
+def cold_boundary_caches():
+    # survivor sets and E1 pages are cached per weight; values computed
+    # under a fault must not outlive the test
+    parity.survivor_sets.cache_clear()
+    boundary.e1_page.cache_clear()
+    yield
+    parity.survivor_sets.cache_clear()
+    boundary.e1_page.cache_clear()
+
+
+def test_injected_weyl_action_fault_is_caught(monkeypatch, cold_boundary_caches):
+    clean = WeylElement.dot
+
+    def corrupted(self, lam):
+        c1, c2, c3 = clean(self, lam)
+        # moves the P1 Levi weight of s1 . lam by (2, 2): parities stay,
+        # the cusp weight of the face term does not
+        return (c1, c2 + 2, c3) if self.name == "s1" else (c1, c2, c3)
+
+    monkeypatch.setattr(WeylElement, "dot", corrupted)
+    report = run_all(max_weight=6)
+    assert not report["ok"]
+    names = {f["check"] for f in report["failures"]}
+    assert names & {"survivor_parity", "boundary_profile_vs_case_formula"}
+    assert names <= {
+        "survivor_parity",
+        "survivor_reflection",
+        "boundary_profile_vs_case_formula",
+        "boundary_euler_closed",
+    }
+
+
+def test_cross_check_error_is_an_assertion_error():
+    assert issubclass(CrossCheckError, AssertionError)
+
+
+def test_cross_checks_raise_under_python_O():
+    # plain asserts vanish under -O; the cross-checks must not
+    script = textwrap.dedent(
+        """
+        import sys
+        from sl3coh import CrossCheckError, HighestWeight, boundary, euler
+
+        if sys.flags.optimize != 1:
+            raise SystemExit("not running under -O")
+        lam = HighestWeight(2, 4)
+        wrong = boundary.case_profile(HighestWeight(2, 6))
+        boundary.case_profile = lambda lam: wrong
+        try:
+            boundary.boundary_profile(lam)
+        except CrossCheckError:
+            print("boundary_profile raised")
+        euler.sl3_euler_closed = lambda lam: 99
+        try:
+            euler.euler_report(lam)
+        except CrossCheckError:
+            print("euler_report raised")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == [
+        "boundary_profile raised",
+        "euler_report raised",
+    ]

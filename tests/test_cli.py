@@ -193,3 +193,36 @@ def test_usage_errors_exit_two(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_consecutive_calls_in_one_process(capsys):
+    code, out = run(capsys, "cohomology", "--group", "sl3", "--m1", "2", "--m2", "4")
+    assert code == 0
+    assert json.loads(out)["weight"] == {"m1": 2, "m2": 4}
+    code, out = run(
+        capsys, "cohomology", "--group", "gl3", "--m1", "1", "--m2", "0",
+        "--m3", "1", "--format", "text",
+    )
+    assert code == 0
+    assert out.startswith("gl3 weight (1, 0, 1), case 7")
+    code, out = run(
+        capsys, "euler-table", "--m1-max", "1", "--m2-max", "1", "--format", "csv"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "m1,m2,chi"
+    # nothing of the earlier calls carries over
+    code, out = run(capsys, "cohomology", "--group", "sl3", "--m1", "0", "--m2", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["weight"] == {"m1": 0, "m2": 0}
+    assert "m3" not in report["weight"]
+
+
+def test_usage_error_then_a_valid_call(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["cohomology", "--group", "sl3", "--m1", "0", "--m2", "0", "--m3", "0"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, "cohomology", "--group", "sl3", "--m1", "0", "--m2", "11")
+    assert code == 0
+    assert json.loads(out)["case_id"] == 6

@@ -193,3 +193,60 @@ def test_parabolic_data():
     assert P2.parabolic_rank == 1
     assert len(P0.nilradical_roots()) == 3
     assert len(P1.nilradical_roots()) == 2
+
+
+# test-only copies of the EpsilonWeight route that dot_action and
+# restrict_to_levi took before their integer form
+def _epsilon_apply(w, eps):
+    out = [0, 0, 0]
+    for i, c in enumerate(eps.coords()):
+        out[w.perm[i] - 1] = c
+    return EpsilonWeight(*out)
+
+
+def _epsilon_dot_action(w, lam):
+    eps = lam.epsilon()
+    moved = _epsilon_apply(w, EpsilonWeight(eps.c1 + 1, eps.c2, eps.c3 - 1))
+    result = EpsilonWeight(moved.c1 - 1, moved.c2, moved.c3 + 1)
+    return result.normalized() if lam.m3 is None else result
+
+
+def _epsilon_levi_weight(w, lam, levi):
+    c1, c2, c3 = _epsilon_dot_action(w, lam).coords()
+    if levi == 1:
+        return c2 - c3, c2 + c3 - 2 * c1
+    return c1 - c2, c1 + c2 - 2 * c3
+
+
+weights = st.builds(
+    HighestWeight,
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=400),
+    st.none() | st.integers(min_value=-5, max_value=5),
+)
+
+
+@given(weights)
+def test_dot_action_matches_the_epsilon_weight_route(lam):
+    for w in WEYL_GROUP:
+        assert dot_action(w, lam) == _epsilon_dot_action(w, lam)
+        assert w.apply(lam.epsilon()) == _epsilon_apply(w, lam.epsilon())
+
+
+@given(weights)
+def test_levi_restriction_matches_the_epsilon_weight_route(lam):
+    for levi, p in ((1, P1), (2, P2)):
+        for w in WEYL_GROUP:
+            if w in kostant_set(p):
+                r = restrict_to_levi(w, lam, levi)
+                assert (r.a, r.n) == _epsilon_levi_weight(w, lam, levi)
+                assert r.levi == levi
+            else:
+                with pytest.raises(ValueError, match="not a Kostant"):
+                    restrict_to_levi(w, lam, levi)
+
+
+def test_sl3_part_keeps_sl3_weights():
+    lam = HighestWeight(3, 4)
+    assert lam.sl3_part() is lam
+    assert HighestWeight(3, 4, -2).sl3_part() == lam

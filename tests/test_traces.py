@@ -229,6 +229,75 @@ def test_gt_trace_matches_the_loop_over_d(m1, m2, m3, k):
     assert gt_trace(m1, m2, m3, k) == _gt_trace_by_d(m1, m2, m3, k)
 
 
+# test-only copy of the per-piece form of _gt_counts: its inner residue
+# loop runs once per (piece, first term) instead of once per first mod k
+def _gt_counts_per_piece(m1, m2, m3, k):
+    lo1, hi1 = m2 + m3, m1 + m2 + m3
+    lo2, hi2 = m3, m2 + m3
+    counts = [0] * k
+    period = k // 2 if k % 2 == 0 else k
+    step = k // period
+    low, high = min(m1, m2), max(m1, m2)
+    for a, b in ((0, low), (low + 1, high), (high + 1, m1 + m2)):
+        alpha, beta = (hi2, 0) if b <= m1 else (hi1, -1)
+        if b <= m2:
+            alpha, beta = alpha - lo1 + 1, beta + 1
+        else:
+            alpha -= lo2 - 1
+        for first in range(a, min(a + k, b + 1)):
+            n = (b - first) // k + 1
+            s1, s2 = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6
+            p, q = alpha + beta * first, beta * k
+            x, y = p * n + q * s1, step * (p * s1 + q * s2)
+            for r in range(period):
+                counts[(2 * r - first) % k] += ((first - r) // period + 1) * x + y
+    return counts
+
+
+@given(
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from(TRACE_ORDERS),
+)
+def test_gt_counts_match_the_per_piece_loop(m1, m2, m3, k):
+    assert traces._gt_counts(m1, m2, m3, k) == _gt_counts_per_piece(m1, m2, m3, k)
+
+
+@pytest.mark.parametrize("k", TRACE_ORDERS)
+def test_gt_counts_at_piece_edges(k):
+    for m1, m2 in _EDGE_WEIGHTS:
+        for m3 in (-3, 0, 2):
+            assert traces._gt_counts(m1, m2, m3, k) == _gt_counts_per_piece(
+                m1, m2, m3, k
+            )
+
+
+@pytest.mark.parametrize("k", TRACE_ORDERS)
+def test_character_matches_gt_trace_for_any_determinant_power(k):
+    t1 = CyclotomicInt.integer(k, 1)
+    t2 = CyclotomicInt.zeta_power(k, 1)
+    t3 = CyclotomicInt.zeta_power(k, k - 1)
+    for m3 in range(-3, 4):
+        for m1 in range(5):
+            for m2 in range(5):
+                direct = gt_character(m1, m2, m3, t1, t2, t3).to_int()
+                assert direct == gt_trace(m1, m2, m3, k)
+
+
+def test_character_needs_roots_of_unity_for_negative_exponents():
+    one = CyclotomicInt.integer(6, 1)
+    two = CyclotomicInt.integer(6, 2)
+    with pytest.raises(ValueError, match="root of unity"):
+        gt_character(1, 0, -1, one, one, two)
+    # the module (0, 0, -1) is det^-1
+    z = CyclotomicInt.zeta_power(6, 1)
+    assert gt_character(0, 0, -1, z, one, one) == CyclotomicInt.zeta_power(6, 5)
+    # -zeta_6 has order 3
+    t = -z
+    assert gt_character(0, 0, -1, t, t, t) == one
+
+
 @given(st.integers(min_value=-2, max_value=400), st.sampled_from(TRACE_ORDERS))
 def test_h_row_matches_monomial_enumeration(m, k):
     assert traces._h_row(m, k) == _h_row_by_monomials(m, k)
