@@ -37,6 +37,7 @@ from .euler import (
     SymbolicCell,
     euler_report,
     euler_table,
+    euler_values,
     gl3_euler,
     sl3_euler_closed,
     sl3_euler_wall,

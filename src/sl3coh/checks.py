@@ -341,7 +341,16 @@ def run_all(max_weight: int = 60, seed: int = 0) -> dict:
     failures = []
     families = {}
     for name, fn in CHECKS:
-        fam_failures = fn(max_weight, seed)
+        try:
+            fam_failures = fn(max_weight, seed)
+        except Exception as exc:  # a route that raises is a failure, not a crash
+            fam_failures = [
+                _fail(
+                    f"{name}_raised",
+                    {"family": name},
+                    f"{type(exc).__name__}: {exc}",
+                )
+            ]
         families[name] = {"failures": len(fam_failures)}
         failures.extend(fam_failures)
     return {

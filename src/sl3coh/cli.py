@@ -29,7 +29,7 @@ from .eisenstein import (
 )
 from .euler import (
     euler_report,
-    euler_table,
+    euler_values,
     gl3_euler,
     sl3_euler_wall,
     symbolic_table,
@@ -56,25 +56,6 @@ def _profile_json(profile: GradedProfile, degrees: range) -> dict:
     return {
         str(q): [_summand_json(s) for s in profile.summands(q)] for q in degrees
     }
-
-
-def _summand_text(s) -> str:
-    if s.kind == "TrivialLine":
-        body = "Q"
-    elif s.kind == "Cusp":
-        body = f"S_{s.k}"
-    else:
-        body = "ghost?"
-    return body if s.mult == 1 else f"{body}^{s.mult}"
-
-
-def _profile_text(profile: GradedProfile, degrees: range) -> list[str]:
-    out = []
-    for q in degrees:
-        summands = profile.summands(q)
-        body = " + ".join(_summand_text(s) for s in summands) if summands else "0"
-        out.append(f"  H^{q} = {body}")
-    return out
 
 
 def _empty_profile(lam: HighestWeight) -> GradedProfile:
@@ -185,15 +166,7 @@ def _render_report_text(report: dict) -> str:
 
 
 def _text_from_json(profile: dict, n: int) -> list[str]:
-    out = []
-    for q in range(n):
-        summands = profile.get(str(q), [])
-        parts = []
-        for s in summands:
-            body = "Q" if s["kind"] == "TrivialLine" else f"S_{s['k']}"
-            parts.append(body if s["mult"] == 1 else f"{body}^{s['mult']}")
-        out.append(f"  H^{q} = " + (" + ".join(parts) if parts else "0"))
-    return out
+    return [f"  H^{q} = " + _md_cell(profile.get(str(q), [])) for q in range(n)]
 
 
 def _render_report_md(report: dict) -> str:
@@ -269,24 +242,23 @@ def cmd_euler_table(args) -> int:
                 lines.append(f"| {i} | " + " | ".join(row) + " |")
         _emit("\n".join(lines), args.out)
         return 0
-    table = euler_table(args.m1_max, args.m2_max)
+    values = euler_values(args.m1_max, args.m2_max)
     if args.format == "csv":
         lines = ["m1,m2,chi"]
-        for row in table:
-            for cell in row:
-                lines.append(f"{cell.m1},{cell.m2},{cell.value}")
+        keys = [f"{m2}," for m2 in range(args.m2_max + 1)]
+        for m1, row in enumerate(values):
+            prefix = f"{m1},"
+            lines += [prefix + key + str(value) for key, value in zip(keys, row)]
     else:
         header = (
             "| m1\\m2 | "
-            + " | ".join(str(c.m2) for c in table[0])
+            + " | ".join(str(m2) for m2 in range(args.m2_max + 1))
             + " |"
         )
-        sep = "|---" * (len(table[0]) + 1) + "|"
+        sep = "|---" * (args.m2_max + 2) + "|"
         lines = [header, sep]
-        for row in table:
-            lines.append(
-                f"| {row[0].m1} | " + " | ".join(str(c.value) for c in row) + " |"
-            )
+        for m1, row in enumerate(values):
+            lines.append(f"| {m1} | " + " | ".join(map(str, row)) + " |")
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from sl3coh import CrossCheckError, boundary, parity, traces
+from sl3coh import CrossCheckError, traces
 from sl3coh.checks import CHECKS, check_trace_routes, run_all
 from sl3coh.rootsystem import WeylElement
 
@@ -111,17 +111,6 @@ def test_injected_gt_trace_fault_is_caught(monkeypatch):
     }
 
 
-@pytest.fixture
-def cold_boundary_caches():
-    # survivor sets and E1 pages are cached per weight; values computed
-    # under a fault must not outlive the test
-    parity.survivor_sets.cache_clear()
-    boundary.e1_page.cache_clear()
-    yield
-    parity.survivor_sets.cache_clear()
-    boundary.e1_page.cache_clear()
-
-
 def test_injected_weyl_action_fault_is_caught(monkeypatch, cold_boundary_caches):
     clean = WeylElement.dot
 
@@ -142,6 +131,41 @@ def test_injected_weyl_action_fault_is_caught(monkeypatch, cold_boundary_caches)
         "boundary_profile_vs_case_formula",
         "boundary_euler_closed",
     }
+
+
+@pytest.mark.parametrize(
+    "name, shift, error",
+    [
+        # d1 of (1, 0) in degree 1 gets two targets: CrossCheckError
+        ("s1", (1, 0, 0), "CrossCheckError"),
+        # a Levi weight with a < 0: ValueError from GL2Weight
+        ("e", (0, 2, 0), "ValueError"),
+    ],
+)
+def test_a_route_that_raises_is_recorded(monkeypatch, cold_boundary_caches, name, shift, error):
+    clean = WeylElement.dot
+
+    def corrupted(self, lam):
+        c = clean(self, lam)
+        return tuple(a + b for a, b in zip(c, shift)) if self.name == name else c
+
+    monkeypatch.setattr(WeylElement, "dot", corrupted)
+    report = run_all(max_weight=6)
+    assert not report["ok"]
+    # every family ran, including those after the one that raised
+    assert list(report["families"]) == [family for family, _ in CHECKS]
+    raised = [f for f in report["failures"] if f["check"].endswith("_raised")]
+    assert raised
+    for record in raised:
+        family = record["check"][: -len("_raised")]
+        assert record["params"] == {"family": family}
+        assert record["detail"].startswith(f"{error}: ")
+    assert "boundary_assembly_raised" in {f["check"] for f in raised}
+    # each raising family counts one failure
+    for family, info in report["families"].items():
+        own = [f for f in report["failures"] if f["check"] == f"{family}_raised"]
+        if own:
+            assert info["failures"] == 1
 
 
 def test_cross_check_error_is_an_assertion_error():

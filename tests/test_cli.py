@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from sl3coh import traces
+from sl3coh import HighestWeight, sl3_euler_closed, traces
 from sl3coh.cli import main
+from sl3coh.rootsystem import WeylElement
 
 
 def run(capsys, *argv):
@@ -102,6 +103,36 @@ def test_cohomology_md_format(capsys):
     assert "| 4 | Q |  | Zero |" in out
 
 
+def test_text_and_md_profiles_render_alike(capsys):
+    # both formats write a degree's summands the same way, "0" when empty
+    _, text = run(
+        capsys, "cohomology", "--group", "sl3",
+        "--m1", "0", "--m2", "11", "--format", "text",
+    )
+    _, md = run(
+        capsys, "cohomology", "--group", "sl3",
+        "--m1", "0", "--m2", "11", "--format", "md",
+    )
+    text_lines = text.splitlines()
+    start = text_lines.index("boundary cohomology:")
+    assert text_lines[start + 1 : start + 6] == [
+        "  H^0 = 0",
+        "  H^1 = 0",
+        "  H^2 = Q^2 + S_14^2",
+        "  H^3 = 0",
+        "  H^4 = 0",
+    ]
+    assert text_lines[start + 7 : start + 11] == [
+        "  H^0 = 0",
+        "  H^1 = 0",
+        "  H^2 = Q + S_14",
+        "  H^3 = 0",
+    ]
+    assert "| 0 | 0 | 0 | Zero |" in md.splitlines()
+    assert "| 2 | Q^2 + S_14^2 | Q + S_14 | UndeterminedZeroOrOne |" in md.splitlines()
+    assert "| 4 | 0 |  | Zero |" in md.splitlines()
+
+
 def test_symbolic_table_md(capsys):
     code, out = run(capsys, "euler-table", "--symbolic")
     assert code == 0
@@ -143,6 +174,38 @@ def test_numeric_table_md(capsys):
     assert lines[2] == "| 0 | 1 | 1 | 0 | 1 |"
 
 
+def _reference_table(m1_max, m2_max, fmt):
+    # the numeric table rendered straight from the closed form
+    chi = {
+        (m1, m2): sl3_euler_closed(HighestWeight(m1, m2))
+        for m1 in range(m1_max + 1)
+        for m2 in range(m2_max + 1)
+    }
+    if fmt == "csv":
+        lines = ["m1,m2,chi"] + [f"{m1},{m2},{v}" for (m1, m2), v in chi.items()]
+    else:
+        cols = range(m2_max + 1)
+        lines = [
+            "| m1\\m2 | " + " | ".join(str(m2) for m2 in cols) + " |",
+            "|---" * (m2_max + 2) + "|",
+        ] + [
+            f"| {m1} | " + " | ".join(str(chi[m1, m2]) for m2 in cols) + " |"
+            for m1 in range(m1_max + 1)
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+@pytest.mark.parametrize("m1_max, m2_max", [(40, 40), (0, 0), (13, 0), (0, 25)])
+def test_numeric_table_matches_the_closed_form(capsys, fmt, m1_max, m2_max):
+    code, out = run(
+        capsys, "euler-table", "--m1-max", str(m1_max), "--m2-max", str(m2_max),
+        "--format", fmt,
+    )
+    assert code == 0
+    assert out == _reference_table(m1_max, m2_max, fmt)
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--max", "6", "--seed", "3")
     assert code == 0
@@ -162,6 +225,21 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert code == 1
     assert "failures:" in out
     assert "gt_trace_vs_closed_trace" in out
+
+
+def test_verify_exits_one_when_a_route_raises(capsys, monkeypatch, cold_boundary_caches):
+    clean = WeylElement.dot
+
+    def corrupted(self, lam):
+        # makes d1 hit two targets, which boundary_profile raises on
+        c1, c2, c3 = clean(self, lam)
+        return (c1 + 1, c2, c3) if self.name == "s1" else (c1, c2, c3)
+
+    monkeypatch.setattr(WeylElement, "dot", corrupted)
+    code, out = run(capsys, "verify", "--max", "6")
+    assert code == 1
+    assert "boundary_assembly: 1 FAILED" in out
+    assert "boundary_assembly_raised" in out
 
 
 def test_out_writes_a_file(capsys, tmp_path):
