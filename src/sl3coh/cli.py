@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
 
 from . import __version__
 from .boundary import GradedProfile, boundary_profile
@@ -248,7 +247,10 @@ def cmd_euler_table(args) -> int:
         keys = [f"{m2}," for m2 in range(args.m2_max + 1)]
         for m1, row in enumerate(values):
             prefix = f"{m1},"
-            lines += [prefix + key + str(value) for key, value in zip(keys, row)]
+            # one string per row, so that only one row's lines are alive at once
+            lines.append(
+                "\n".join([prefix + key + str(v) for key, v in zip(keys, row)])
+            )
     else:
         header = (
             "| m1\\m2 | "
@@ -322,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs more than a report."""
-    return build_parser()
+# Built once, when the module loads: building it costs more than a report,
+# and a parser built on first use would make the first call of a process
+# slower than every later one.
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     if args.command == "cohomology":
         if args.group == "sl3" and args.m3 is not None:

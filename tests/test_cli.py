@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sl3coh import HighestWeight, sl3_euler_closed, traces
+from sl3coh import HighestWeight, cli, sl3_euler_closed, traces
 from sl3coh.cli import main
 from sl3coh.rootsystem import WeylElement
 
@@ -304,3 +304,15 @@ def test_usage_error_then_a_valid_call(capsys):
     code, out = run(capsys, "cohomology", "--group", "sl3", "--m1", "0", "--m2", "11")
     assert code == 0
     assert json.loads(out)["case_id"] == 6
+
+
+def test_no_call_builds_a_parser(capsys, monkeypatch):
+    # the parser is built when sl3coh.cli loads, so the first call of a
+    # process costs what every later call does
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    code, out = run(capsys, "euler-table", "--m1-max", "1", "--m2-max", "1")
+    assert code == 0
+    assert out.splitlines()[2] == "| 0 | 1 | 1 |"
