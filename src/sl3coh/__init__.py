@@ -32,11 +32,9 @@ from .eisenstein import (
     verify_identities,
 )
 from .euler import (
-    EulerCell,
     EulerReport,
     SymbolicCell,
     euler_report,
-    euler_table,
     euler_values,
     gl3_euler,
     sl3_euler_closed,

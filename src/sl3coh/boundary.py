@@ -23,8 +23,7 @@ from .rootsystem import HighestWeight, restrict_to_levi
 
 TRIVIAL = "TrivialLine"
 CUSP = "Cusp"
-GHOST = "GhostCandidateLine"
-_KIND_ORDER = {TRIVIAL: 0, CUSP: 1, GHOST: 2}
+_KIND_ORDER = {TRIVIAL: 0, CUSP: 1}
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,7 @@ class CohomologySummand:
     """A multiplicity of one irreducible building block.
 
     TrivialLine is a one-dimensional piece, Cusp carries the weight-k
-    level-one cusp forms (k in the field k), GhostCandidateLine marks a
-    line whose presence is not determined.
+    level-one cusp forms (k in the field k).
     """
 
     kind: str
@@ -51,9 +49,7 @@ class CohomologySummand:
     def dimension(self, convention: str = ACTUAL) -> int:
         if self.kind == TRIVIAL:
             return self.mult
-        if self.kind == CUSP:
-            return self.mult * dim_cusp_forms(self.k, convention)
-        raise ValueError("a GhostCandidateLine has no determined dimension")
+        return self.mult * dim_cusp_forms(self.k, convention)
 
 
 def trivial_line(mult: int = 1) -> CohomologySummand:

@@ -1,13 +1,15 @@
-"""Cross-route verification suite.
+"""Cross-route verification suite, behind the CLI's verify subcommand.
 
-Every quantity the package computes has at least two independent routes;
-this module compares them over weight sweeps and returns machine-readable
-failure records, each naming the offending weight and check.  The CLI's
-verify subcommand is a thin wrapper around run_all.
+Every quantity the package computes has at least two independent routes.
+A check family is one per-weight comparison (an `*_at` function yielding
+failure records, each naming the offending weight and check) run by one
+shared sweep over its domain; the seeded spot checks rerun the euler,
+boundary and identity comparisons at weights beyond the sweep bound.
 """
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 from . import traces
 from .boundary import boundary_euler_closed, boundary_profile, case_profile, e1_page
@@ -23,314 +25,240 @@ from .gl2 import dim_cusp_forms, gl2_euler, gl2_euler_wall, sl2_euler
 from .parity import case_classifier, survivor_sets
 from .rootsystem import P1, P2, HighestWeight, kostant_set, restrict_to_levi
 
+SPOT_COUNT = 25
+
+
 def _fail(check: str, params: dict, detail: str) -> dict:
     return {"check": check, "params": params, "detail": detail}
 
 
-def check_trace_routes(max_weight: int) -> list[dict]:
+def _at(lam: HighestWeight, **extra) -> dict:
+    return {"m1": lam.m1, "m2": lam.m2, **extra}
+
+
+def traces_at(lam: HighestWeight) -> Iterator[dict]:
     """Triple-sum, periodicity-table, and determinant traces must agree."""
-    failures = []
-    for m1 in range(max_weight + 1):
-        for m2 in range(max_weight + 1):
-            for k in (2, 3, 4, 6):
-                base = traces.gt_trace(m1, m2, 0, k)
-                closed = traces.closed_trace(m1, m2, 0, k)
-                if closed != base:
-                    failures.append(
-                        _fail(
-                            "gt_trace_vs_closed_trace",
-                            {"m1": m1, "m2": m2, "m3": 0, "k": k},
-                            f"gt_trace={base}, closed_trace={closed}",
-                        )
-                    )
-                det = traces.weyl_det_trace(m1, m2, k)
-                if det != base:
-                    failures.append(
-                        _fail(
-                            "gt_trace_vs_weyl_det_trace",
-                            {"m1": m1, "m2": m2, "k": k},
-                            f"gt_trace={base}, weyl_det_trace={det}",
-                        )
-                    )
-                for m3 in (1, 2):
-                    shifted = traces.gt_trace(m1, m2, m3, k)
-                    if shifted != base:
-                        failures.append(
-                            _fail(
-                                "gt_trace_m3_independence",
-                                {"m1": m1, "m2": m2, "m3": m3, "k": k},
-                                f"m3=0 gives {base}, m3={m3} gives {shifted}",
-                            )
-                        )
-    return failures
-
-
-def check_euler_routes(max_weight: int) -> list[dict]:
-    """Torsion sum, closed form, and table cells must agree."""
-    failures = []
-    for m1 in range(max_weight + 1):
-        for m2 in range(max_weight + 1):
-            lam = HighestWeight(m1, m2)
-            wall = sl3_euler_wall(lam)
-            closed = sl3_euler_closed(lam)
-            if wall != closed:
-                failures.append(
-                    _fail(
-                        "sl3_euler_wall_vs_closed",
-                        {"m1": m1, "m2": m2},
-                        f"wall={wall}, closed={closed}",
-                    )
+    m1, m2 = lam.m1, lam.m2
+    for k in (2, 3, 4, 6):
+        base = traces.gt_trace(m1, m2, 0, k)
+        closed = traces.closed_trace(m1, m2, 0, k)
+        if closed != base:
+            yield _fail(
+                "gt_trace_vs_closed_trace",
+                _at(lam, m3=0, k=k),
+                f"gt_trace={base}, closed_trace={closed}",
+            )
+        det = traces.weyl_det_trace(m1, m2, k)
+        if det != base:
+            yield _fail(
+                "gt_trace_vs_weyl_det_trace",
+                _at(lam, k=k),
+                f"gt_trace={base}, weyl_det_trace={det}",
+            )
+        for m3 in (1, 2):
+            shifted = traces.gt_trace(m1, m2, m3, k)
+            if shifted != base:
+                yield _fail(
+                    "gt_trace_m3_independence",
+                    _at(lam, m3=m3, k=k),
+                    f"m3=0 gives {base}, m3={m3} gives {shifted}",
                 )
-            cell = symbolic_cell(m1 % 12, m2 % 12).evaluate(m1, m2)
-            if cell != closed:
-                failures.append(
-                    _fail(
-                        "euler_cell_vs_closed",
-                        {"m1": m1, "m2": m2},
-                        f"cell={cell}, closed={closed}",
-                    )
-                )
-    return failures
 
 
-def check_gl2_routes(max_weight: int) -> list[dict]:
+def euler_at(lam: HighestWeight) -> Iterator[dict]:
+    """Torsion sum, closed form, and table cell must agree."""
+    wall = sl3_euler_wall(lam)
+    closed = sl3_euler_closed(lam)
+    if wall != closed:
+        yield _fail(
+            "sl3_euler_wall_vs_closed", _at(lam), f"wall={wall}, closed={closed}"
+        )
+    cell = symbolic_cell(lam.m1 % 12, lam.m2 % 12).evaluate(lam.m1, lam.m2)
+    if cell != closed:
+        yield _fail("euler_cell_vs_closed", _at(lam), f"cell={cell}, closed={closed}")
+
+
+def gl2_at(m: int) -> Iterator[dict]:
     """GL2 rational sums against the closed forms, and the SL2 splitting."""
-    failures = []
-    for m in range(max_weight + 1):
-        for t in (0, 1):
-            wall = gl2_euler_wall(m, t)
-            closed = gl2_euler(m, t)
-            if wall != closed:
-                failures.append(
-                    _fail(
-                        "gl2_euler_wall_vs_closed",
-                        {"m": m, "det_twist": t},
-                        f"wall={wall}, closed={closed}",
-                    )
-                )
-        if sl2_euler(m) != gl2_euler(m, 0) + gl2_euler(m, 1):
-            failures.append(
-                _fail("sl2_additivity", {"m": m}, "sl2 != gl2(0) + gl2(1)")
+    for t in (0, 1):
+        wall = gl2_euler_wall(m, t)
+        closed = gl2_euler(m, t)
+        if wall != closed:
+            yield _fail(
+                "gl2_euler_wall_vs_closed",
+                {"m": m, "det_twist": t},
+                f"wall={wall}, closed={closed}",
             )
-        if m > 0 and m % 2 == 0 and -gl2_euler_wall(m, 0) != dim_cusp_forms(m + 2):
-            failures.append(
-                _fail(
-                    "gl2_h1_dimension",
-                    {"m": m},
-                    "-chi does not equal dim S_{m+2}",
-                )
-            )
-    return failures
+    if sl2_euler(m) != gl2_euler(m, 0) + gl2_euler(m, 1):
+        yield _fail("sl2_additivity", {"m": m}, "sl2 != gl2(0) + gl2(1)")
+    if m > 0 and m % 2 == 0 and -gl2_euler_wall(m, 0) != dim_cusp_forms(m + 2):
+        yield _fail("gl2_h1_dimension", {"m": m}, "-chi does not equal dim S_{m+2}")
 
 
 # the Weyl group automorphism induced by swapping m1 and m2
 _SWAP = {"e": "e", "s1": "s2", "s2": "s1", "s1s2": "s2s1", "s2s1": "s1s2",
          "s1s2s1": "s1s2s1"}
 
+# (a, n) of w . (m1, m2) on the Levi of P1 or P2 for each Kostant
+# representative w, transcribed by hand
+_LEVI_AN = {
+    (1, "e"): lambda m1, m2: (m2, -2 * m1 - m2),
+    (1, "s1"): lambda m1, m2: (m1 + m2 + 1, m1 - m2 + 3),
+    (1, "s1s2"): lambda m1, m2: (m1, m1 + 2 * m2 + 6),
+    (2, "e"): lambda m1, m2: (m1, m1 + 2 * m2),
+    (2, "s2"): lambda m1, m2: (m1 + m2 + 1, m1 - m2 - 3),
+    (2, "s2s1"): lambda m1, m2: (m2, -2 * m1 - m2 - 6),
+}
 
-def _swapped(ws) -> list[str]:
-    return sorted(_SWAP[w.name] for w in ws)
 
-
-def _plain(ws) -> list[str]:
-    return sorted(w.name for w in ws)
-
-
-def check_survivors(max_weight: int) -> list[dict]:
-    """Surviving Levi weights have even coordinates; reflection symmetry."""
-    failures = []
-    for m1 in range(max_weight + 1):
-        for m2 in range(max_weight + 1):
-            lam = HighestWeight(m1, m2)
-            sets = survivor_sets(lam)
-            for levi, p, wset in ((1, P1, sets.w1), (2, P2, sets.w2)):
-                for w in wset:
-                    r = restrict_to_levi(w, lam, levi)
-                    if r.a < 0 or r.a % 2 != 0 or r.n % 2 != 0:
-                        failures.append(
-                            _fail(
-                                "survivor_parity",
-                                {"m1": m1, "m2": m2, "levi": levi, "w": w.name},
-                                f"survivor has (a, n) = ({r.a}, {r.n})",
-                            )
-                        )
-            mirror = survivor_sets(HighestWeight(m2, m1))
-            if (
-                _swapped(sets.w1) != _plain(mirror.w2)
-                or _swapped(sets.w2) != _plain(mirror.w1)
-                or _swapped(sets.w0) != _plain(mirror.w0)
-            ):
-                failures.append(
-                    _fail(
-                        "survivor_reflection",
-                        {"m1": m1, "m2": m2},
-                        "survivor sets do not mirror under (m1, m2) swap",
-                    )
+def survivors_at(lam: HighestWeight) -> Iterator[dict]:
+    """Levi weights match the table, survivors' are even; reflection symmetry."""
+    sets = survivor_sets(lam)
+    for levi, p, survivors in ((1, P1, sets.w1), (2, P2, sets.w2)):
+        for w in kostant_set(p):
+            r = restrict_to_levi(w, lam, levi)
+            if w in survivors and (r.a < 0 or r.a % 2 != 0 or r.n % 2 != 0):
+                yield _fail(
+                    "survivor_parity",
+                    _at(lam, levi=levi, w=w.name),
+                    f"survivor has (a, n) = ({r.a}, {r.n})",
                 )
-    return failures
+            a, n = _LEVI_AN[levi, w.name](lam.m1, lam.m2)
+            if (r.a, r.n) != (a, n):
+                yield _fail(
+                    "levi_weight",
+                    _at(lam, levi=levi, w=w.name),
+                    f"restrict_to_levi gives (a, n) = ({r.a}, {r.n}), "
+                    f"table ({a}, {n})",
+                )
+    mirror = survivor_sets(lam.dual())
+    pairs = ((sets.w1, mirror.w2), (sets.w2, mirror.w1), (sets.w0, mirror.w0))
+    if any(
+        sorted(_SWAP[w.name] for w in ws) != sorted(w.name for w in mirrored)
+        for ws, mirrored in pairs
+    ):
+        yield _fail(
+            "survivor_reflection",
+            _at(lam),
+            "survivor sets do not mirror under (m1, m2) swap",
+        )
 
 
-def check_boundary_assembly(max_weight: int) -> list[dict]:
+def boundary_at(lam: HighestWeight) -> Iterator[dict]:
     """Spectral sequence output equals the closed case formulas."""
-    failures = []
-    for m1 in range(max_weight + 1):
-        for m2 in range(max_weight + 1):
-            lam = HighestWeight(m1, m2)
-            built = boundary_profile(lam, cross_check=False)
-            expected = case_profile(lam)
-            for q in range(5):
-                if built.multiset(q) != expected.multiset(q):
-                    failures.append(
-                        _fail(
-                            "boundary_profile_vs_case_formula",
-                            {"m1": m1, "m2": m2, "q": q},
-                            f"assembled {built.multiset(q)}, "
-                            f"case formula {expected.multiset(q)}",
-                        )
-                    )
-            chi = built.euler_characteristic()
-            if chi != boundary_euler_closed(lam):
-                failures.append(
-                    _fail(
-                        "boundary_euler_closed",
-                        {"m1": m1, "m2": m2},
-                        f"profile chi {chi} != closed form "
-                        f"{boundary_euler_closed(lam)}",
-                    )
-                )
-    return failures
+    built = boundary_profile(lam, cross_check=False)
+    expected = case_profile(lam)
+    for q in range(5):
+        if built.multiset(q) != expected.multiset(q):
+            yield _fail(
+                "boundary_profile_vs_case_formula",
+                _at(lam, q=q),
+                f"assembled {built.multiset(q)}, case formula {expected.multiset(q)}",
+            )
+    chi = built.euler_characteristic()
+    closed = boundary_euler_closed(lam)
+    if chi != closed:
+        yield _fail(
+            "boundary_euler_closed",
+            _at(lam),
+            f"profile chi {chi} != closed form {closed}",
+        )
 
 
-def check_identities(max_weight: int) -> list[dict]:
+def identities_at(lam: HighestWeight) -> Iterator[dict]:
     """The Eisenstein/boundary/Euler identity suite, plus duality."""
-    failures = []
-    for m1 in range(max_weight + 1):
-        for m2 in range(max_weight + 1):
-            lam = HighestWeight(m1, m2)
-            for name, ok in verify_identities(lam).items():
-                if not ok:
-                    failures.append(
-                        _fail(name, {"m1": m1, "m2": m2}, "identity fails")
-                    )
-            bd = case_profile(lam)
-            bd_dual = case_profile(lam.dual())
-            for q in range(5):
-                if bd.dimension(q) != bd_dual.dimension(4 - q):
-                    failures.append(
-                        _fail(
-                            "boundary_duality",
-                            {"m1": m1, "m2": m2, "q": q},
-                            f"dim H^{q} = {bd.dimension(q)} but dual "
-                            f"dim H^{4 - q} = {bd_dual.dimension(4 - q)}",
-                        )
-                    )
-            eis = eisenstein_case_profile(lam)
-            for q in range(4):
-                eis_ms = eis.multiset(q)
-                bd_ms = bd.multiset(q)
-                if any(eis_ms[key] > bd_ms.get(key, 0) for key in eis_ms):
-                    failures.append(
-                        _fail(
-                            "eisenstein_inside_boundary",
-                            {"m1": m1, "m2": m2, "q": q},
-                            f"Eisenstein {eis_ms} not inside boundary {bd_ms}",
-                        )
-                    )
-    return failures
+    for name, ok in verify_identities(lam).items():
+        if not ok:
+            yield _fail(name, _at(lam), "identity fails")
+    bd = case_profile(lam)
+    bd_dual = case_profile(lam.dual())
+    for q in range(5):
+        if bd.dimension(q) != bd_dual.dimension(4 - q):
+            yield _fail(
+                "boundary_duality",
+                _at(lam, q=q),
+                f"dim H^{q} = {bd.dimension(q)} but dual "
+                f"dim H^{4 - q} = {bd_dual.dimension(4 - q)}",
+            )
+    eis = eisenstein_case_profile(lam)
+    for q in range(4):
+        eis_ms = eis.multiset(q)
+        bd_ms = bd.multiset(q)
+        if any(eis_ms[key] > bd_ms.get(key, 0) for key in eis_ms):
+            yield _fail(
+                "eisenstein_inside_boundary",
+                _at(lam, q=q),
+                f"Eisenstein {eis_ms} not inside boundary {bd_ms}",
+            )
 
 
-def check_ghosts(max_weight: int) -> list[dict]:
+def ghosts_at(lam: HighestWeight) -> Iterator[dict]:
     """Ghost statuses: undetermined exactly in degree 2 of cases 6 and 7."""
-    failures = []
-    for m1 in range(max_weight + 1):
-        for m2 in range(max_weight + 1):
-            lam = HighestWeight(m1, m2)
-            case = case_classifier(lam)
-            report = ghost_report(lam)
-            for q, status in report.by_degree:
-                want = UNDETERMINED if (q == 2 and case in (6, 7)) else ZERO
-                if status != want:
-                    failures.append(
-                        _fail(
-                            "ghost_support",
-                            {"m1": m1, "m2": m2, "q": q},
-                            f"status {status}, expected {want}",
-                        )
-                    )
-    return failures
-
-
-def check_random_spots(max_weight: int, seed: int, count: int = 25) -> list[dict]:
-    """Seeded spot checks at weights beyond the sweep bound."""
-    failures = []
-    rng = random.Random(seed)
-    for _ in range(count):
-        m1 = rng.randrange(0, 12 * max(max_weight, 1))
-        m2 = rng.randrange(0, 12 * max(max_weight, 1))
-        lam = HighestWeight(m1, m2)
-        if sl3_euler_wall(lam) != sl3_euler_closed(lam):
-            failures.append(
-                _fail(
-                    "sl3_euler_wall_vs_closed",
-                    {"m1": m1, "m2": m2, "spot": True},
-                    "wall route disagrees with closed form",
-                )
+    case = case_classifier(lam)
+    for q, status in ghost_report(lam).by_degree:
+        want = UNDETERMINED if (q == 2 and case in (6, 7)) else ZERO
+        if status != want:
+            yield _fail(
+                "ghost_support", _at(lam, q=q), f"status {status}, expected {want}"
             )
-        built = boundary_profile(lam, cross_check=False)
-        if built != case_profile(lam):
-            failures.append(
-                _fail(
-                    "boundary_profile_vs_case_formula",
-                    {"m1": m1, "m2": m2, "spot": True},
-                    "assembled profile disagrees with case formula",
-                )
-            )
-        for name, ok in verify_identities(lam).items():
-            if not ok:
-                failures.append(
-                    _fail(name, {"m1": m1, "m2": m2, "spot": True}, "identity fails")
-                )
-    return failures
 
 
-def check_kostant() -> list[dict]:
-    """The Kostant sets and E1 support are what they must be."""
+def e1_support_at(lam: HighestWeight) -> Iterator[dict]:
+    """The E1 page of lam lives in degrees 0..3."""
+    page = e1_page(lam)
+    for p in (0, 1):
+        degrees = sorted(page.column(p))
+        if any(q < 0 or q > 3 for q in degrees):
+            yield _fail("e1_support", _at(lam, column=p), f"degrees {degrees}")
+
+
+def _square(max_weight: int) -> Iterator[HighestWeight]:
+    """The weights 0 <= m1, m2 <= max_weight, row by row."""
+    side = range(max_weight + 1)
+    return (HighestWeight(m1, m2) for m1 in side for m2 in side)
+
+
+def _sweep(weights, *comparisons) -> list[dict]:
+    """The failures of each comparison at each weight, in that order."""
+    return [f for lam in weights for at in comparisons for f in at(lam)]
+
+
+def _on_square(at):
+    """The check family that runs at over the square up to max_weight."""
+    return lambda max_weight, seed: _sweep(_square(max_weight), at)
+
+
+def kostant(max_weight: int, seed: int) -> list[dict]:
+    """The Kostant sets, and the E1 support at the fixed weights m1, m2 < 4."""
     failures = []
-    expected = {
-        "P1": ["e", "s1", "s1s2"],
-        "P2": ["e", "s2", "s2s1"],
-    }
-    for p in (P1, P2):
+    for p, want in ((P1, ["e", "s1", "s1s2"]), (P2, ["e", "s2", "s2s1"])):
         got = [w.name for w in kostant_set(p)]
-        if got != expected[p.tag]:
-            failures.append(
-                _fail("kostant_set", {"parabolic": p.tag}, f"got {got}")
-            )
-    for m1 in range(4):
-        for m2 in range(4):
-            page = e1_page(HighestWeight(m1, m2))
-            for p in (0, 1):
-                if any(q < 0 or q > 3 for q in page.column(p)):
-                    failures.append(
-                        _fail(
-                            "e1_support",
-                            {"m1": m1, "m2": m2, "column": p},
-                            f"degrees {sorted(page.column(p))}",
-                        )
-                    )
-    return failures
+        if got != want:
+            failures.append(_fail("kostant_set", {"parabolic": p.tag}, f"got {got}"))
+    return failures + _sweep(_square(3), e1_support_at)
+
+
+def random_spots(max_weight: int, seed: int) -> list[dict]:
+    """The euler, boundary and identity comparisons at seeded large weights."""
+    draw = random.Random(seed).randrange
+    top = 12 * max(max_weight, 1)
+    spots = [HighestWeight(draw(top), draw(top)) for _ in range(SPOT_COUNT)]
+    return [
+        _fail(f["check"], {**f["params"], "spot": True}, f["detail"])
+        for f in _sweep(spots, euler_at, boundary_at, identities_at)
+    ]
 
 
 CHECKS = (
-    ("kostant", lambda max_weight, seed: check_kostant()),
-    ("trace_routes", lambda max_weight, seed: check_trace_routes(max_weight)),
-    ("euler_routes", lambda max_weight, seed: check_euler_routes(max_weight)),
-    ("gl2_routes", lambda max_weight, seed: check_gl2_routes(max_weight)),
-    ("survivors", lambda max_weight, seed: check_survivors(max_weight)),
-    ("boundary_assembly", lambda max_weight, seed: check_boundary_assembly(max_weight)),
-    ("identities", lambda max_weight, seed: check_identities(max_weight)),
-    ("ghosts", lambda max_weight, seed: check_ghosts(max_weight)),
-    ("random_spots", check_random_spots),
+    ("kostant", kostant),
+    ("trace_routes", _on_square(traces_at)),
+    ("euler_routes", _on_square(euler_at)),
+    ("gl2_routes", lambda max_weight, seed: _sweep(range(max_weight + 1), gl2_at)),
+    ("survivors", _on_square(survivors_at)),
+    ("boundary_assembly", _on_square(boundary_at)),
+    ("identities", _on_square(identities_at)),
+    ("ghosts", _on_square(ghosts_at)),
+    ("random_spots", random_spots),
 )
 
 
@@ -344,13 +272,8 @@ def run_all(max_weight: int = 60, seed: int = 0) -> dict:
         try:
             fam_failures = fn(max_weight, seed)
         except Exception as exc:  # a route that raises is a failure, not a crash
-            fam_failures = [
-                _fail(
-                    f"{name}_raised",
-                    {"family": name},
-                    f"{type(exc).__name__}: {exc}",
-                )
-            ]
+            detail = f"{type(exc).__name__}: {exc}"
+            fam_failures = [_fail(f"{name}_raised", {"family": name}, detail)]
         families[name] = {"failures": len(fam_failures)}
         failures.extend(fam_failures)
     return {

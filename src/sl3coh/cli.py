@@ -26,13 +26,7 @@ from .eisenstein import (
     gl3_vanishes,
     total_cohomology,
 )
-from .euler import (
-    euler_report,
-    euler_values,
-    gl3_euler,
-    sl3_euler_wall,
-    symbolic_table,
-)
+from .euler import euler_report, euler_values, symbolic_table
 from .parity import case_classifier
 from .rootsystem import HighestWeight
 
@@ -97,8 +91,6 @@ def _report(args) -> dict:
     weight = {"m1": lam.m1, "m2": lam.m2}
     if args.group == "gl3":
         weight["m3"] = lam.m3
-        chi_wall = 0 if vanishes else sl3_euler_wall(sl3)
-        chi_closed = gl3_euler(lam)
     return {
         "tool": "sl3coh",
         "version": __version__,

@@ -8,8 +8,8 @@ Two routes for chi_h(SL3(Z), M_(m1,m2)):
   the parities of (m1, m2), with the dim S_2 = -1 convention.
 
 The closed form is periodic-plus-linear in (m1, m2) mod 12, which gives the
-12 x 12 table of symbolic cells; euler_values and euler_table evaluate the
-cells over a numeric sweep.
+12 x 12 table of symbolic cells; euler_values evaluates the cells over a
+numeric sweep.
 """
 from __future__ import annotations
 
@@ -127,30 +127,6 @@ def symbolic_table() -> list[list[SymbolicCell]]:
     return [[symbolic_cell(i, j) for j in range(12)] for i in range(12)]
 
 
-@dataclass(frozen=True)
-class EulerCell:
-    """One evaluated entry of a numeric Euler sweep."""
-
-    m1: int
-    m2: int
-    value: int
-    symbolic: str
-
-
-def _sweep(
-    cells: list[list[SymbolicCell]], m1_max: int, m2_max: int
-) -> list[list[int]]:
-    """Evaluate every weight of the rectangle through its cell in cells."""
-    if m1_max < 0 or m2_max < 0:
-        raise ValueError("sweep bounds must be >= 0")
-    m2s = range(m2_max + 1)
-    out = []
-    for m1 in range(m1_max + 1):
-        row = cells[m1 % 12]
-        out.append([row[m2 % 12].evaluate(m1, m2) for m2 in m2s])
-    return out
-
-
 def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
     """chi_h over 0 <= m1 <= m1_max, 0 <= m2 <= m2_max, one row per m1.
 
@@ -158,21 +134,15 @@ def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
     divisibility check runs at every weight; the 144 cells are built once
     per call.
     """
-    return _sweep(symbolic_table(), m1_max, m2_max)
-
-
-def euler_table(m1_max: int, m2_max: int) -> list[list[EulerCell]]:
-    """chi_h over the rectangle 0 <= m1 <= m1_max, 0 <= m2 <= m2_max."""
+    if m1_max < 0 or m2_max < 0:
+        raise ValueError("sweep bounds must be >= 0")
     cells = symbolic_table()
-    values = _sweep(cells, m1_max, m2_max)
-    rendered = [[cell.render() for cell in row] for row in cells]
-    return [
-        [
-            EulerCell(m1=m1, m2=m2, value=value, symbolic=rendered[m1 % 12][m2 % 12])
-            for m2, value in enumerate(row)
-        ]
-        for m1, row in enumerate(values)
-    ]
+    m2s = range(m2_max + 1)
+    out = []
+    for m1 in range(m1_max + 1):
+        row = cells[m1 % 12]
+        out.append([row[m2 % 12].evaluate(m1, m2) for m2 in m2s])
+    return out
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,9 @@ def test_summand_validation():
         CohomologySummand(CUSP)
     with pytest.raises(ValueError):
         CohomologySummand(TRIVIAL, mult=0)
-    with pytest.raises(ValueError):
-        CohomologySummand("GhostCandidateLine").dimension()
+    # ghost status lives in GhostReport, not in a summand kind
+    with pytest.raises(ValueError, match="unknown summand kind"):
+        CohomologySummand("GhostCandidateLine")
     assert cusp(12, mult=3).dimension() == 3
     assert trivial_line(2).dimension(EULER) == 2
 

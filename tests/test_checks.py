@@ -1,4 +1,5 @@
-"""The cross-route verification suite, including an injected-fault run."""
+"""The cross-route verification suite, and injected faults in every family."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,9 +7,11 @@ import textwrap
 
 import pytest
 
-from sl3coh import CrossCheckError, traces
-from sl3coh.checks import CHECKS, check_trace_routes, run_all
-from sl3coh.rootsystem import WeylElement
+from sl3coh import CrossCheckError, boundary, eisenstein, euler, gl2, parity, traces
+from sl3coh.boundary import TRIVIAL, GradedProfile
+from sl3coh.checks import CHECKS, run_all
+from sl3coh.eisenstein import ZERO
+from sl3coh.rootsystem import WeylElement, restrict_to_levi
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -59,7 +62,7 @@ def test_injected_table_fault_is_caught(monkeypatch):
 
 def test_injected_fault_leaves_other_orders_alone(monkeypatch):
     monkeypatch.setattr(traces, "M6", _corrupted_m6())
-    failures = check_trace_routes(6)
+    failures = dict(CHECKS)["trace_routes"](6, 0)
     assert failures
     assert all(f["params"]["k"] == 6 for f in failures)
     assert all(f["check"] == "gt_trace_vs_closed_trace" for f in failures)
@@ -125,12 +128,24 @@ def test_injected_weyl_action_fault_is_caught(monkeypatch, cold_boundary_caches)
     assert not report["ok"]
     names = {f["check"] for f in report["failures"]}
     assert names & {"survivor_parity", "boundary_profile_vs_case_formula"}
+    assert "levi_weight" in names
     assert names <= {
         "survivor_parity",
         "survivor_reflection",
+        "levi_weight",
         "boundary_profile_vs_case_formula",
         "boundary_euler_closed",
     }
+
+
+def _shift_dot(monkeypatch, name, shift):
+    clean = WeylElement.dot
+
+    def corrupted(self, lam):
+        c = clean(self, lam)
+        return tuple(a + b for a, b in zip(c, shift)) if self.name == name else c
+
+    monkeypatch.setattr(WeylElement, "dot", corrupted)
 
 
 @pytest.mark.parametrize(
@@ -143,13 +158,7 @@ def test_injected_weyl_action_fault_is_caught(monkeypatch, cold_boundary_caches)
     ],
 )
 def test_a_route_that_raises_is_recorded(monkeypatch, cold_boundary_caches, name, shift, error):
-    clean = WeylElement.dot
-
-    def corrupted(self, lam):
-        c = clean(self, lam)
-        return tuple(a + b for a, b in zip(c, shift)) if self.name == name else c
-
-    monkeypatch.setattr(WeylElement, "dot", corrupted)
+    _shift_dot(monkeypatch, name, shift)
     report = run_all(max_weight=6)
     assert not report["ok"]
     # every family ran, including those after the one that raised
@@ -205,3 +214,170 @@ def test_cross_checks_raise_under_python_O():
         "boundary_profile raised",
         "euler_report raised",
     ]
+
+
+@pytest.mark.parametrize(
+    "name, shift",
+    [
+        # each moves n of one Levi weight by 4 and keeps every parity
+        ("s1", (2, 0, 0)),
+        ("s2", (0, 0, 2)),
+        ("s2s1", (0, 0, 2)),
+        ("s1s2", (2, 0, 0)),
+    ],
+)
+def test_levi_coordinate_n_is_pinned(monkeypatch, cold_boundary_caches, name, shift):
+    _shift_dot(monkeypatch, name, shift)
+    report = run_all(max_weight=6)
+    assert not report["ok"]
+    levi = [f for f in _by_family(report)["survivors"] if f["check"] == "levi_weight"]
+    assert levi
+    assert {f["params"]["w"] for f in levi} == {name}
+
+
+def _replace_route(monkeypatch, clean, corrupted):
+    # routes are imported by name into other modules: replace every copy
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "sl3coh"]
+    for module in modules:
+        for attr, obj in list(vars(module).items()):
+            if obj is clean:
+                monkeypatch.setattr(module, attr, corrupted)
+
+
+def _case_profile_fault(monkeypatch):
+    clean = boundary.case_profile
+
+    def corrupted(lam):
+        profile = clean(lam)
+        if profile.case_id != 5:
+            return profile
+        # case 5 without its degree-2 block
+        kept = tuple((q, s) for q, s in profile.by_degree if q != 2)
+        return GradedProfile(by_degree=kept, case_id=5)
+
+    _replace_route(monkeypatch, clean, corrupted)
+
+
+def _eisenstein_fault(monkeypatch):
+    clean = eisenstein.eisenstein_case_profile
+
+    def corrupted(lam):
+        profile = clean(lam)
+        if profile.case_id != 4:
+            return profile
+        # case 4 without its degree-3 trivial line
+        data = {q: [x for x in s if x.kind != TRIVIAL] for q, s in profile.by_degree}
+        return GradedProfile.build(4, data)
+
+    _replace_route(monkeypatch, clean, corrupted)
+
+
+def _symbolic_cell_fault(monkeypatch):
+    clean = euler.symbolic_cell
+
+    def corrupted(i, j):
+        cell = clean(i, j)
+        if cell.kind != "sum":
+            return cell
+        # every cell with both residues even is one too high
+        return dataclasses.replace(cell, shift=cell.shift + 1)
+
+    _replace_route(monkeypatch, clean, corrupted)
+
+
+def _torsion_class_fault(monkeypatch):
+    # the order-4 class counted 4 more times: the sum stays integral
+    classes = tuple(
+        dataclasses.replace(c, resultant=c.resultant + 4) if c.order == 4 else c
+        for c in euler.SL3_TORSION_CLASSES
+    )
+    monkeypatch.setattr(euler, "SL3_TORSION_CLASSES", classes)
+
+
+def _gl2_euler_fault(monkeypatch):
+    clean = gl2.gl2_euler
+
+    def corrupted(m, det_twist):
+        return clean(m, det_twist) + (m == 4 and det_twist == 0)
+
+    _replace_route(monkeypatch, clean, corrupted)
+
+
+def _survivor_parity_fault(monkeypatch):
+    clean = parity.maximal_parabolic_survives
+
+    def corrupted(w, lam, levi):
+        # the rule without its "n even" condition
+        r = restrict_to_levi(w, lam, levi)
+        return r.a != 0 or (r.n // 2) % 2 == 0
+
+    _replace_route(monkeypatch, clean, corrupted)
+
+
+def _ghost_rule_fault(monkeypatch):
+    clean = eisenstein.ghost_report
+
+    def corrupted(lam):
+        report = clean(lam)
+        if parity.case_classifier(lam) != 7:
+            return report
+        # the degree-2 line of case 7 reported as zero
+        statuses = tuple((q, ZERO) for q, _ in report.by_degree)
+        return dataclasses.replace(report, by_degree=statuses)
+
+    _replace_route(monkeypatch, clean, corrupted)
+
+
+def _by_family(report):
+    # the records come family by family, in the order of CHECKS
+    out, start = {}, 0
+    for family, info in report["families"].items():
+        out[family] = report["failures"][start : start + info["failures"]]
+        start += info["failures"]
+    assert start == len(report["failures"])
+    return out
+
+
+@pytest.mark.parametrize(
+    "fault, family, check, spot",
+    [
+        (
+            _case_profile_fault,
+            "boundary_assembly",
+            "boundary_profile_vs_case_formula",
+            True,
+        ),
+        (_eisenstein_fault, "identities", "chi_eis_equals_chi_h", True),
+        (_symbolic_cell_fault, "euler_routes", "euler_cell_vs_closed", True),
+        (_torsion_class_fault, "euler_routes", "sl3_euler_wall_vs_closed", True),
+        (_gl2_euler_fault, "gl2_routes", "gl2_euler_wall_vs_closed", False),
+        (_survivor_parity_fault, "survivors", "survivor_parity", False),
+        (_ghost_rule_fault, "ghosts", "ghost_support", False),
+    ],
+    ids=[
+        "case_profile",
+        "eisenstein_case_profile",
+        "symbolic_cell",
+        "torsion_class",
+        "gl2_euler",
+        "survivor_parity",
+        "ghost_rule",
+    ],
+)
+def test_each_family_fails_when_its_route_is_corrupted(
+    monkeypatch, cold_boundary_caches, fault, family, check, spot
+):
+    fault(monkeypatch)
+    report = run_all(max_weight=6)
+    assert not report["ok"]
+    records = _by_family(report)
+    names = {f["check"] for f in records[family]}
+    assert check in names or f"{family}_raised" in names
+    # spot checks run the euler, boundary and identity comparisons
+    spots = records["random_spots"]
+    assert all(
+        f["params"].get("spot") is True or f["check"] == "random_spots_raised"
+        for f in spots
+    )
+    if spot:
+        assert check in {f["check"] for f in spots}

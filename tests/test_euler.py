@@ -2,14 +2,12 @@
 import dataclasses
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from sl3coh import CrossCheckError, euler, euler_values
 from sl3coh.euler import (
-    EulerCell,
     EulerReport,
     euler_report,
-    euler_table,
     gl3_euler,
     sl3_euler_closed,
     sl3_euler_wall,
@@ -103,18 +101,6 @@ def test_symbolic_cell_evaluates_to_the_closed_form(m1, m2):
     assert cell.evaluate(m1, m2) == sl3_euler_closed(HighestWeight(m1, m2))
 
 
-def test_euler_table_sweep():
-    table = euler_table(14, 3)
-    assert len(table) == 15 and len(table[0]) == 4
-    entry = table[10][0]
-    assert (entry.m1, entry.m2, entry.value) == (10, 0, -1)
-    assert entry.symbolic == "-(m1+m2-10)/12 - 1"
-    assert table[0][0].value == 1
-    assert table[13][1].value == 0
-    with pytest.raises(ValueError):
-        euler_table(-1, 4)
-
-
 def test_euler_values_match_the_closed_form():
     values = euler_values(60, 60)
     assert len(values) == 61 and all(len(row) == 61 for row in values)
@@ -130,33 +116,6 @@ def test_euler_values_reject_negative_bounds():
         euler_values(4, -1)
 
 
-def _per_cell_table(m1_max, m2_max):
-    # the sweep as it was before euler_values: one cell and one rendering
-    # per weight
-    return [
-        [
-            EulerCell(
-                m1=m1,
-                m2=m2,
-                value=symbolic_cell(m1 % 12, m2 % 12).evaluate(m1, m2),
-                symbolic=symbolic_cell(m1 % 12, m2 % 12).render(),
-            )
-            for m2 in range(m2_max + 1)
-        ]
-        for m1 in range(m1_max + 1)
-    ]
-
-
-@given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
-@example(0, 0)
-@example(13, 0)
-@example(0, 25)
-def test_euler_table_matches_the_per_cell_loop(m1_max, m2_max):
-    table = euler_table(m1_max, m2_max)
-    assert table == _per_cell_table(m1_max, m2_max)
-    assert [[c.value for c in row] for row in table] == euler_values(m1_max, m2_max)
-
-
 def test_a_wrong_cell_offset_raises_in_the_sweep(monkeypatch):
     clean = euler.symbolic_cell
 
@@ -170,8 +129,6 @@ def test_a_wrong_cell_offset_raises_in_the_sweep(monkeypatch):
     # the sweep reads the cells at call time, so the fault shows
     with pytest.raises(CrossCheckError):
         euler_values(4, 6)
-    with pytest.raises(CrossCheckError):
-        euler_table(20, 20)
     # weights in other cells are untouched
     assert euler_values(3, 5) == [
         [sl3_euler_closed(HighestWeight(m1, m2)) for m2 in range(6)]
