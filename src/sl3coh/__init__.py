@@ -21,14 +21,11 @@ from .boundary import (
 )
 from .errors import CrossCheckError
 from .eisenstein import (
-    EisensteinReport,
     GhostReport,
-    TotalCohomology,
+    cohomology_report,
     eisenstein_case_profile,
-    eisenstein_profile,
     ghost_report,
     gl3_vanishes,
-    total_cohomology,
     verify_identities,
 )
 from .euler import (
@@ -36,16 +33,13 @@ from .euler import (
     SymbolicCell,
     euler_report,
     euler_values,
-    gl3_euler,
     sl3_euler_closed,
     sl3_euler_wall,
     symbolic_cell,
     symbolic_table,
 )
 from .gl2 import (
-    CuspDim,
     GL2Weight,
-    cusp_dim,
     dim_cusp_forms,
     gl2_euler,
     gl2_euler_wall,
@@ -69,7 +63,6 @@ from .rootsystem import (
     P0,
     P1,
     P2,
-    dot_action,
     kostant_set,
     restrict_to_levi,
     weyl_element,
@@ -78,7 +71,6 @@ from .traces import (
     CyclotomicInt,
     TorsionClass,
     SL3_TORSION_CLASSES,
-    ck_sum,
     closed_trace,
     gt_character,
     gt_trace,

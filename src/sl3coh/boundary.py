@@ -201,19 +201,14 @@ def e1_page(lam: HighestWeight) -> E1Page:
     )
 
 
-def d1_rank(lam: HighestWeight, q: int) -> int:
-    """Rank of d1 out of column 0 in total degree q.
+def d1_rank(lam: HighestWeight, col0: dict, col1: dict, q: int) -> int:
+    """Rank of d1 out of column 0 in total degree q of the E1 page of lam.
 
-    The target is the (at most one) surviving minimal-face line in degree q;
-    the map is onto it as soon as column 0 contributes any invariant line or
-    Eisenstein line in the same degree.  Cusp summands never hit it.
+    col0 and col1 are the page's columns.  The target is the (at most one)
+    surviving minimal-face line in degree q; the map is onto it as soon as
+    column 0 contributes any invariant line or Eisenstein line in the same
+    degree.  Cusp summands never hit it.
     """
-    page = e1_page(lam.sl3_part())
-    return _d1_rank(lam, page.column(0), page.column(1), q)
-
-
-def _d1_rank(lam: HighestWeight, col0: dict, col1: dict, q: int) -> int:
-    """d1_rank on columns already taken out of the E1 page of lam."""
     targets = len(col1.get(q, ()))
     if targets > 1:
         raise CrossCheckError(f"d1 of {lam} in degree {q} has {targets} targets")
@@ -235,7 +230,7 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     e2_0: dict[int, list[CohomologySummand]] = {}
     e2_1: dict[int, int] = {}
     for q in range(4):
-        rank = _d1_rank(lam, col0, col1, q)
+        rank = d1_rank(lam, col0, col1, q)
         summands = [s for t in col0.get(q, ()) for s in t.summands]
         if rank:
             # quotient by the image: remove one of the mapping lines

@@ -18,16 +18,9 @@ import json
 import sys
 
 from . import __version__
-from .boundary import GradedProfile, boundary_profile
 from .checks import run_all
-from .eisenstein import (
-    eisenstein_profile,
-    ghost_report,
-    gl3_vanishes,
-    total_cohomology,
-)
-from .euler import euler_report, euler_values, symbolic_table
-from .parity import case_classifier
+from .eisenstein import cohomology_report
+from .euler import euler_values, symbolic_table
 from .rootsystem import HighestWeight
 
 
@@ -41,88 +34,13 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _summand_json(s) -> dict:
-    return {"kind": s.kind, "k": s.k, "mult": s.mult}
-
-
-def _profile_json(profile: GradedProfile, degrees: range) -> dict:
-    return {
-        str(q): [_summand_json(s) for s in profile.summands(q)] for q in degrees
-    }
-
-
-def _empty_profile(lam: HighestWeight) -> GradedProfile:
-    return GradedProfile.build(case_classifier(lam.sl3_part()), {})
-
-
-def _report(args) -> dict:
-    """Assemble the full cohomology report for one weight."""
-    if args.group == "sl3":
-        lam = HighestWeight(args.m1, args.m2)
-        vanishes = False
-    else:
-        lam = HighestWeight(args.m1, args.m2, args.m3)
-        vanishes = gl3_vanishes(lam)
-    sl3 = lam.sl3_part()
-    total = total_cohomology(lam, args.group)
-    if vanishes:
-        boundary = _empty_profile(sl3)
-        eis_profile = _empty_profile(sl3)
-        chi_eis = 0
-        identities = {}
-        ghosts = {str(q): "Zero" for q in range(5)}
-        chi_wall = 0
-        chi_closed = 0
-        cell = None
-    else:
-        boundary = boundary_profile(sl3)
-        eis = eisenstein_profile(sl3)
-        eis_profile = eis.profile
-        chi_eis = eis.chi_eis
-        identities = eis.identities
-        ghosts = {str(q): s for q, s in ghost_report(sl3).by_degree}
-        report = euler_report(sl3)
-        chi_wall, chi_closed = report.chi_wall, report.chi_closed
-        cell = {
-            "row": report.table_cell[0],
-            "col": report.table_cell[1],
-            "symbolic": report.table_cell[2],
-        }
-    weight = {"m1": lam.m1, "m2": lam.m2}
-    if args.group == "gl3":
-        weight["m3"] = lam.m3
-    return {
-        "tool": "sl3coh",
-        "version": __version__,
-        "group": args.group,
-        "weight": weight,
-        "case_id": case_classifier(sl3),
-        "vanishes": vanishes,
-        "boundary": _profile_json(boundary, range(5)),
-        "eisenstein": {
-            "profile": _profile_json(eis_profile, range(4)),
-            "chi_eis": chi_eis,
-            "identities": identities,
-        },
-        "euler": {
-            "chi_wall": chi_wall,
-            "chi_closed": chi_closed,
-            "table_cell": cell,
-        },
-        "ghost": ghosts,
-        "total": {
-            "self_dual": total.self_dual,
-            "inner_known": total.inner_known,
-        },
-    }
+def _weight_name(report: dict) -> str:
+    """The weight as (m1, m2) or (m1, m2, m3)."""
+    return "(" + ", ".join(str(m) for m in report["weight"].values()) + ")"
 
 
 def _render_report_text(report: dict) -> str:
-    weight = report["weight"]
-    name = f"({weight['m1']}, {weight['m2']}"
-    if "m3" in weight:
-        name += f", {weight['m3']}"
-    name += ")"
+    name = _weight_name(report)
     lines = [f"{report['group']} weight {name}, case {report['case_id']}"]
     if report["vanishes"]:
         lines.append("all cohomology vanishes (odd central character)")
@@ -161,13 +79,8 @@ def _text_from_json(profile: dict, n: int) -> list[str]:
 
 
 def _render_report_md(report: dict) -> str:
-    weight = report["weight"]
-    name = f"({weight['m1']}, {weight['m2']}"
-    if "m3" in weight:
-        name += f", {weight['m3']}"
-    name += ")"
     lines = [
-        f"# {report['group']} weight {name}",
+        f"# {report['group']} weight {_weight_name(report)}",
         "",
         f"case {report['case_id']}"
         + (", vanishes" if report["vanishes"] else ""),
@@ -206,7 +119,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_cohomology(args) -> int:
-    report = _report(args)
+    lam = HighestWeight(args.m1, args.m2, args.m3)
+    report = {
+        "tool": "sl3coh",
+        "version": __version__,
+        **cohomology_report(lam, args.group),
+    }
     if args.format == "json":
         text = json.dumps(report, indent=2)
     elif args.format == "text":

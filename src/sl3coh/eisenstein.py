@@ -1,4 +1,4 @@
-"""Eisenstein cohomology, ghost classes, and total cohomology reports.
+"""Eisenstein cohomology, ghost classes, and the per-weight cohomology report.
 
 The Eisenstein part of H^*(SL3(Z), M_lam) is the image of the restriction
 to the boundary; it is given by a closed nine-case formula, supported in
@@ -22,7 +22,7 @@ from .boundary import (
     cusp,
     trivial_line,
 )
-from .euler import sl3_euler_closed
+from .euler import euler_report, sl3_euler_closed
 from .parity import case_classifier
 from .rootsystem import HighestWeight
 
@@ -30,16 +30,6 @@ ZERO = "Zero"
 UNDETERMINED = "UndeterminedZeroOrOne"
 
 GHOST_DEGREES = (0, 1, 2, 3, 4)
-
-
-@dataclass(frozen=True)
-class EisensteinReport:
-    """The Eisenstein profile of one weight, with its identity flags."""
-
-    weight: HighestWeight
-    profile: GradedProfile
-    chi_eis: int
-    identities: dict
 
 
 def eisenstein_case_profile(lam: HighestWeight) -> GradedProfile:
@@ -86,18 +76,6 @@ def verify_identities(lam: HighestWeight) -> dict:
     }
 
 
-def eisenstein_profile(lam: HighestWeight) -> EisensteinReport:
-    """The Eisenstein report for one weight (profile, chi, identity flags)."""
-    sl3 = lam.sl3_part()
-    profile = eisenstein_case_profile(sl3)
-    return EisensteinReport(
-        weight=lam,
-        profile=profile,
-        chi_eis=profile.euler_characteristic(),
-        identities=verify_identities(sl3),
-    )
-
-
 @dataclass(frozen=True)
 class GhostReport:
     """Ghost class status per degree 0..4."""
@@ -126,55 +104,67 @@ def ghost_report(lam: HighestWeight) -> GhostReport:
     return GhostReport(weight=lam, by_degree=tuple(statuses))
 
 
-@dataclass(frozen=True)
-class TotalCohomology:
-    """Eisenstein part plus what is known about the inner part.
+def _profile_json(profile: GradedProfile, degrees: range) -> dict:
+    return {
+        str(q): [
+            {"kind": s.kind, "k": s.k, "mult": s.mult} for s in profile.summands(q)
+        ]
+        for q in degrees
+    }
 
-    For non-self-dual weights the inner part vanishes and the Eisenstein
-    part is the whole cohomology.  For self-dual weights (m1 = m2) the
-    inner part is unknown beyond the stated lower bound (zero), so the
-    profile is a lower bound only.
+
+def cohomology_report(lam: HighestWeight, group: str = "sl3") -> dict:
+    """The full cohomology report of one SL3(Z) or GL3(Z) weight, JSON-able.
+
+    Boundary and Eisenstein profiles, both Euler routes with the table cell,
+    ghost statuses and identity flags.  For non-self-dual weights the inner
+    part vanishes and the Eisenstein part is the whole cohomology; for
+    self-dual weights (m1 = m2) it is a lower bound only.  An odd GL3
+    central character kills everything, and then nothing is open.
     """
-
-    weight: HighestWeight
-    group: str
-    eisenstein: GradedProfile
-    inner_lower_bound: GradedProfile
-    self_dual: bool
-    inner_known: bool
-
-
-def total_cohomology(lam: HighestWeight, group: str = "sl3") -> TotalCohomology:
-    """Assemble the total-cohomology report for SL3(Z) or GL3(Z)."""
     if group not in ("sl3", "gl3"):
         raise ValueError(f"group must be 'sl3' or 'gl3', got {group!r}")
-    self_dual = lam.m1 == lam.m2
-    empty = GradedProfile.build(case_classifier(lam.sl3_part()), {})
-    if group == "gl3":
-        if lam.m3 is None:
-            raise ValueError("a GL3 weight needs a determinant power m3")
-        if (lam.m1 + lam.m3) % 2 != 0:
-            # odd central character: everything vanishes, nothing is open
-            return TotalCohomology(
-                weight=lam,
-                group=group,
-                eisenstein=empty,
-                inner_lower_bound=empty,
-                self_dual=self_dual,
-                inner_known=True,
-            )
+    if group == "sl3" and lam.m3 is not None:
+        raise ValueError("an SL3 weight must not carry a determinant power")
+    vanishes = group == "gl3" and gl3_vanishes(lam)
+    sl3 = lam.sl3_part()
+    case = case_classifier(sl3)
+    if vanishes:
+        boundary = eisenstein = GradedProfile.build(case, {})
+        identities = {}
+        ghosts = {str(q): ZERO for q in GHOST_DEGREES}
+        euler = {"chi_wall": 0, "chi_closed": 0, "table_cell": None}
     else:
-        if lam.m3 is not None:
-            raise ValueError("an SL3 weight must not carry a determinant power")
-    eis = eisenstein_case_profile(lam.sl3_part())
-    return TotalCohomology(
-        weight=lam,
-        group=group,
-        eisenstein=eis,
-        inner_lower_bound=empty,
-        self_dual=self_dual,
-        inner_known=not self_dual,
-    )
+        boundary = boundary_profile(sl3)
+        eisenstein = eisenstein_case_profile(sl3)
+        identities = verify_identities(sl3)
+        ghosts = {str(q): s for q, s in ghost_report(sl3).by_degree}
+        chi = euler_report(sl3)
+        row, col, symbolic = chi.table_cell
+        euler = {
+            "chi_wall": chi.chi_wall,
+            "chi_closed": chi.chi_closed,
+            "table_cell": {"row": row, "col": col, "symbolic": symbolic},
+        }
+    weight = {"m1": lam.m1, "m2": lam.m2}
+    if group == "gl3":
+        weight["m3"] = lam.m3
+    self_dual = lam.m1 == lam.m2
+    return {
+        "group": group,
+        "weight": weight,
+        "case_id": case,
+        "vanishes": vanishes,
+        "boundary": _profile_json(boundary, range(5)),
+        "eisenstein": {
+            "profile": _profile_json(eisenstein, range(4)),
+            "chi_eis": eisenstein.euler_characteristic(),
+            "identities": identities,
+        },
+        "euler": euler,
+        "ghost": ghosts,
+        "total": {"self_dual": self_dual, "inner_known": vanishes or not self_dual},
+    }
 
 
 def gl3_vanishes(lam: HighestWeight) -> bool:
@@ -185,16 +175,13 @@ def gl3_vanishes(lam: HighestWeight) -> bool:
 
 
 __all__ = [
-    "EisensteinReport",
     "GhostReport",
-    "TotalCohomology",
     "ZERO",
     "UNDETERMINED",
     "GHOST_DEGREES",
     "eisenstein_case_profile",
-    "eisenstein_profile",
     "verify_identities",
     "ghost_report",
-    "total_cohomology",
+    "cohomology_report",
     "gl3_vanishes",
 ]

@@ -52,15 +52,6 @@ def sl3_euler_closed(lam: HighestWeight) -> int:
     return 0
 
 
-def gl3_euler(lam: HighestWeight) -> int:
-    """chi_h(GL3(Z), M_lam): zero for odd central character, else the SL3 value."""
-    if lam.m3 is None:
-        raise ValueError("GL3 Euler characteristic needs a determinant power m3")
-    if (lam.m1 + lam.m3) % 2 != 0:
-        return 0
-    return sl3_euler_closed(lam.sl3_part())
-
-
 @dataclass(frozen=True)
 class SymbolicCell:
     """One cell of the 12 x 12 Euler table.

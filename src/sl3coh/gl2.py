@@ -26,15 +26,6 @@ COMPACT_BRANCH = "H1_c = H1_!"
 
 
 @dataclass(frozen=True)
-class CuspDim:
-    """Dimension of the weight-k level-one cusp forms, with convention tag."""
-
-    k: int
-    dim: int
-    convention: str
-
-
-@dataclass(frozen=True)
 class GL2Weight:
     """A weight V_{a,n} = Sym^a tensor det^((n-a)/2) of GL2."""
 
@@ -69,11 +60,6 @@ def dim_cusp_forms(k: int, convention: str = ACTUAL) -> int:
     if i == 10:
         return ell + 1
     return ell
-
-
-def cusp_dim(k: int, convention: str = ACTUAL) -> CuspDim:
-    """dim S_k packaged with its convention tag."""
-    return CuspDim(k=k, dim=dim_cusp_forms(k, convention), convention=convention)
 
 
 def gl2_euler(m: int, det_twist: int) -> int:

@@ -97,9 +97,10 @@ class WeylElement:
         return EpsilonWeight(c[i], c[j], c[k])
 
     def dot(self, lam: HighestWeight) -> tuple[int, int, int]:
-        """w(lam + rho) - rho as a plain triple; SL3 weights take m3 = 0.
+        """The dot action w . lam = w(lam + rho) - rho as an integer triple.
 
-        The integer form behind dot_action and restrict_to_levi.
+        SL3 weights take m3 = 0 and are not normalized mod (1, 1, 1);
+        restrict_to_levi reads only that class.
         """
         m3 = lam.m3 or 0
         # lam + rho, with rho = (1, 0, -1)
@@ -116,7 +117,6 @@ S21 = WeylElement("s2s1", (3, 1, 2), (2, 1))
 W0 = WeylElement("s1s2s1", (3, 2, 1), (1, 2, 1))
 
 WEYL_GROUP: tuple[WeylElement, ...] = (E, S1, S2, S12, S21, W0)
-_BY_PERM = {w.perm: w for w in WEYL_GROUP}
 _BY_NAME = {w.name: w for w in WEYL_GROUP}
 
 # roots as epsilon triples
@@ -132,19 +132,6 @@ def weyl_element(name: str) -> WeylElement:
         return _BY_NAME[name]
     except KeyError:
         raise ValueError(f"unknown Weyl element {name!r}") from None
-
-
-def weyl_times(u: WeylElement, v: WeylElement) -> WeylElement:
-    """The product u v (v acts first)."""
-    perm = tuple(u.perm[v.perm[i] - 1] for i in range(3))
-    return _BY_PERM[perm]
-
-
-def weyl_inverse(w: WeylElement) -> WeylElement:
-    inv = [0, 0, 0]
-    for i in range(3):
-        inv[w.perm[i] - 1] = i + 1
-    return _BY_PERM[tuple(inv)]
 
 
 @dataclass(frozen=True)
@@ -220,17 +207,6 @@ def kostant_set(p: Parabolic) -> tuple[WeylElement, ...]:
 
 # the Kostant sets of the maximal parabolics, by Levi index
 _LEVI_KOSTANT = {1: kostant_set(P1), 2: kostant_set(P2)}
-
-
-def dot_action(w: WeylElement, lam: HighestWeight) -> EpsilonWeight:
-    """The rho-shifted action w . lam = w(lam + rho) - rho.
-
-    SL3 weights come back normalized to c3 = 0; GL3 weights stay honest.
-    """
-    c1, c2, c3 = w.dot(lam)
-    if lam.m3 is None:
-        return EpsilonWeight(c1 - c3, c2 - c3, 0)
-    return EpsilonWeight(c1, c2, c3)
 
 
 def restrict_to_levi(w: WeylElement, lam: HighestWeight, levi: int) -> LeviWeight:

@@ -311,21 +311,6 @@ def gt_character(
     return total
 
 
-def ck_sum(p1: int, p2: int, k: int) -> int:
-    """Closed form of the inner run sum_{q=p2}^{p1} zeta_k^(2q - p1 - p2)."""
-    if p1 < p2:
-        raise ValueError(f"need p1 >= p2, got ({p1}, {p2})")
-    _check_order(k)
-    d = p1 - p2
-    if k == 2:
-        return d + 1 if (p1 + p2) % 2 == 0 else -(d + 1)
-    if k == 3:
-        return (1, -1, 0)[d % 3]
-    if k == 4:
-        return (1, 0, -1, 0)[d % 4]
-    return (1, 1, 0, -1, -1, 0)[d % 6]
-
-
 # trace periodicity tables, indexed [m1 mod k][m2 mod k]
 M6 = (
     (1, 2, 2, 1, 0, 0),

@@ -73,12 +73,17 @@ def test_e1_page_with_modular_blocks():
 
 
 def test_d1_ranks():
-    assert d1_rank(HighestWeight(0, 0), 0) == 1
-    assert d1_rank(HighestWeight(0, 0), 3) == 0
-    assert d1_rank(HighestWeight(0, 11), 1) == 0
-    assert d1_rank(HighestWeight(0, 11), 2) == 1
-    assert d1_rank(HighestWeight(4, 2), 0) == 0
-    assert d1_rank(HighestWeight(4, 2), 3) == 1
+    def rank(m1, m2, q):
+        lam = HighestWeight(m1, m2)
+        page = e1_page(lam)
+        return d1_rank(lam, page.column(0), page.column(1), q)
+
+    assert rank(0, 0, 0) == 1
+    assert rank(0, 0, 3) == 0
+    assert rank(0, 11, 1) == 0
+    assert rank(0, 11, 2) == 1
+    assert rank(4, 2, 0) == 0
+    assert rank(4, 2, 3) == 1
 
 
 @pytest.mark.parametrize("case", sorted(PROFILES))

@@ -7,7 +7,16 @@ import textwrap
 
 import pytest
 
-from sl3coh import CrossCheckError, boundary, eisenstein, euler, gl2, parity, traces
+from sl3coh import (
+    CrossCheckError,
+    boundary,
+    eisenstein,
+    euler,
+    gl2,
+    parity,
+    rootsystem,
+    traces,
+)
 from sl3coh.boundary import TRIVIAL, GradedProfile
 from sl3coh.checks import CHECKS, run_all
 from sl3coh.eisenstein import ZERO
@@ -328,6 +337,28 @@ def _ghost_rule_fault(monkeypatch):
     _replace_route(monkeypatch, clean, corrupted)
 
 
+def _kostant_set_fault(monkeypatch):
+    clean = rootsystem.Parabolic.nilradical_roots
+
+    def corrupted(p):
+        # P1's nilradical without alpha1 + alpha2
+        roots = clean(p)
+        if p.tag != "P1":
+            return roots
+        return tuple(r for r in roots if r != rootsystem.ALPHA12)
+
+    monkeypatch.setattr(rootsystem.Parabolic, "nilradical_roots", corrupted)
+    rootsystem.kostant_set.cache_clear()
+
+
+def _e1_degree_fault(monkeypatch):
+    # s1s2 one longer: its P1 face terms land in E1 degree 4
+    def length(w):
+        return len(w.reduced_word) + (w.name == "s1s2")
+
+    monkeypatch.setattr(WeylElement, "length", property(length))
+
+
 def _by_family(report):
     # the records come family by family, in the order of CHECKS
     out, start = {}, 0
@@ -353,6 +384,13 @@ def _by_family(report):
         (_gl2_euler_fault, "gl2_routes", "gl2_euler_wall_vs_closed", False),
         (_survivor_parity_fault, "survivors", "survivor_parity", False),
         (_ghost_rule_fault, "ghosts", "ghost_support", False),
+        (_kostant_set_fault, "kostant", "kostant_set", False),
+        (
+            _e1_degree_fault,
+            "boundary_assembly",
+            "boundary_assembly_raised",
+            False,
+        ),
     ],
     ids=[
         "case_profile",
@@ -362,6 +400,8 @@ def _by_family(report):
         "gl2_euler",
         "survivor_parity",
         "ghost_rule",
+        "kostant_set",
+        "e1_degree",
     ],
 )
 def test_each_family_fails_when_its_route_is_corrupted(

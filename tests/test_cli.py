@@ -1,5 +1,10 @@
 """The command line interface, run in process through main()."""
+import contextlib
+import hashlib
+import io
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +321,43 @@ def test_no_call_builds_a_parser(capsys, monkeypatch):
     code, out = run(capsys, "euler-table", "--m1-max", "1", "--m2-max", "1")
     assert code == 0
     assert out.splitlines()[2] == "| 0 | 1 | 1 |"
+
+
+# sha256 of the concatenated stdout of the golden cohomology sweep, and an
+# 8-hex-digit sha256 prefix of each call's stdout, in sweep order, that
+# names the first call whose output changed
+GOLDEN_DIGEST = "e6cbf82714393099706d97093fc057c78c738668a63e935d080d5c8fe493273f"
+GOLDEN_CALLS = Path(__file__).with_name("golden_cohomology.txt")
+
+
+def _golden_argvs():
+    groups = [("sl3", ())] + [("gl3", ("--m3", str(m3))) for m3 in (-1, 0, 1, 2)]
+    side = range(14)
+    for m1, m2, fmt, (group, m3) in itertools.product(
+        side, side, ("json", "text", "md"), groups
+    ):
+        yield [
+            "cohomology", "--group", group, "--m1", str(m1), "--m2", str(m2),
+            *m3, "--format", fmt,
+        ]
+
+
+def _golden_outputs():
+    outputs = []
+    for argv in _golden_argvs():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0, argv
+        outputs.append((argv, buf.getvalue()))
+    return outputs
+
+
+def test_cohomology_output_matches_the_golden_sweep():
+    outputs = _golden_outputs()
+    want = GOLDEN_CALLS.read_text(encoding="ascii").split()
+    assert len(outputs) == len(want) == 2940
+    for (argv, text), fingerprint in zip(outputs, want):
+        got = hashlib.sha256(text.encode()).hexdigest()[:8]
+        assert got == fingerprint, f"first changed output: {' '.join(argv)}"
+    whole = "".join(text for _, text in outputs).encode()
+    assert hashlib.sha256(whole).hexdigest() == GOLDEN_DIGEST

@@ -1,4 +1,4 @@
-"""Eisenstein cohomology, its identities, ghost statuses, and total reports."""
+"""Eisenstein cohomology, its identities, ghost statuses, and the report."""
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,11 +7,10 @@ from sl3coh.eisenstein import (
     GHOST_DEGREES,
     UNDETERMINED,
     ZERO,
+    cohomology_report,
     eisenstein_case_profile,
-    eisenstein_profile,
     ghost_report,
     gl3_vanishes,
-    total_cohomology,
     verify_identities,
 )
 from sl3coh.rootsystem import HighestWeight
@@ -65,10 +64,13 @@ def test_identities_hold(m1, m2):
 
 
 def test_chi_eis_pins():
-    assert eisenstein_profile(HighestWeight(0, 0)).chi_eis == 1
-    assert eisenstein_profile(HighestWeight(0, 11)).chi_eis == 1
-    assert eisenstein_profile(HighestWeight(4, 2)).chi_eis == -1
-    assert eisenstein_profile(HighestWeight(1, 1)).chi_eis == 0
+    def chi_eis(m1, m2):
+        return cohomology_report(HighestWeight(m1, m2))["eisenstein"]["chi_eis"]
+
+    assert chi_eis(0, 0) == 1
+    assert chi_eis(0, 11) == 1
+    assert chi_eis(4, 2) == -1
+    assert chi_eis(1, 1) == 0
 
 
 def test_ghost_statuses():
@@ -92,33 +94,37 @@ def test_ghosts_only_in_degree_two_of_the_half_odd_cases(m1, m2):
 
 
 def test_total_cohomology_sl3():
-    report = total_cohomology(HighestWeight(4, 2))
-    assert report.group == "sl3"
-    assert not report.self_dual
-    assert report.inner_known
-    assert report.eisenstein == eisenstein_case_profile(HighestWeight(4, 2))
-    assert report.inner_lower_bound.degrees() == ()
-    report = total_cohomology(HighestWeight(2, 2))
-    assert report.self_dual
-    assert not report.inner_known
+    report = cohomology_report(HighestWeight(4, 2))
+    assert report["group"] == "sl3"
+    assert report["total"] == {"self_dual": False, "inner_known": True}
+    assert report["eisenstein"]["profile"]["3"] == [
+        {"kind": "TrivialLine", "k": None, "mult": 1},
+        {"kind": "Cusp", "k": 4, "mult": 1},
+        {"kind": "Cusp", "k": 6, "mult": 1},
+    ]
+    report = cohomology_report(HighestWeight(2, 2))
+    assert report["total"] == {"self_dual": True, "inner_known": False}
 
 
 def test_total_cohomology_gl3():
-    report = total_cohomology(HighestWeight(0, 0, 1), group="gl3")
-    assert report.inner_known
-    assert report.eisenstein.degrees() == ()
-    report = total_cohomology(HighestWeight(2, 1, 0), group="gl3")
-    assert report.eisenstein == eisenstein_case_profile(HighestWeight(2, 1))
-    assert report.inner_known
+    report = cohomology_report(HighestWeight(0, 0, 1), group="gl3")
+    assert report["vanishes"]
+    assert report["total"]["inner_known"]
+    assert all(s == [] for s in report["eisenstein"]["profile"].values())
+    report = cohomology_report(HighestWeight(2, 1, 0), group="gl3")
+    assert not report["vanishes"]
+    sl3 = cohomology_report(HighestWeight(2, 1))
+    assert report["eisenstein"] == sl3["eisenstein"]
+    assert report["total"]["inner_known"]
 
 
 def test_total_cohomology_validation():
     with pytest.raises(ValueError):
-        total_cohomology(HighestWeight(2, 1), group="gl3")
+        cohomology_report(HighestWeight(2, 1), group="gl3")
     with pytest.raises(ValueError):
-        total_cohomology(HighestWeight(2, 1, 0), group="sl3")
+        cohomology_report(HighestWeight(2, 1, 0), group="sl3")
     with pytest.raises(ValueError):
-        total_cohomology(HighestWeight(2, 1), group="so5")
+        cohomology_report(HighestWeight(2, 1), group="so5")
 
 
 def test_gl3_vanishing():

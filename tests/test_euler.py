@@ -4,11 +4,10 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from sl3coh import CrossCheckError, euler, euler_values
+from sl3coh import CrossCheckError, cohomology_report, euler, euler_values
 from sl3coh.euler import (
     EulerReport,
     euler_report,
-    gl3_euler,
     sl3_euler_closed,
     sl3_euler_wall,
     symbolic_cell,
@@ -60,13 +59,18 @@ def test_euler_report_carries_both_routes_and_the_cell():
 
 
 def test_gl3_euler():
-    assert gl3_euler(HighestWeight(0, 0, 0)) == 1
-    assert gl3_euler(HighestWeight(0, 0, 1)) == 0
-    assert gl3_euler(HighestWeight(1, 0, 1)) == sl3_euler_closed(HighestWeight(1, 0))
-    assert gl3_euler(HighestWeight(1, 0, 0)) == 0
-    assert gl3_euler(HighestWeight(10, 0, 2)) == -1
+    def chi(m1, m2, m3):
+        euler = cohomology_report(HighestWeight(m1, m2, m3), "gl3")["euler"]
+        assert euler["chi_wall"] == euler["chi_closed"]
+        return euler["chi_closed"]
+
+    assert chi(0, 0, 0) == 1
+    assert chi(0, 0, 1) == 0
+    assert chi(1, 0, 1) == sl3_euler_closed(HighestWeight(1, 0))
+    assert chi(1, 0, 0) == 0
+    assert chi(10, 0, 2) == -1
     with pytest.raises(ValueError):
-        gl3_euler(HighestWeight(2, 2))
+        cohomology_report(HighestWeight(2, 2), "gl3")
 
 
 def test_symbolic_cell_rendering():

@@ -8,7 +8,6 @@ from sl3coh.gl2 import (
     EULER,
     GL2Weight,
     INTERIOR_BRANCH,
-    cusp_dim,
     dim_cusp_forms,
     gl2_euler,
     gl2_euler_wall,
@@ -30,8 +29,6 @@ def test_cusp_dimension_conventions():
     assert dim_cusp_forms(2, ACTUAL) == 0
     assert dim_cusp_forms(2, EULER) == -1
     assert dim_cusp_forms(4, EULER) == dim_cusp_forms(4, ACTUAL) == 0
-    assert cusp_dim(12).dim == 1
-    assert cusp_dim(2, EULER).convention == EULER
 
 
 def test_cusp_dimension_validation():

@@ -17,15 +17,32 @@ from sl3coh.rootsystem import (
     S21,
     W0,
     WEYL_GROUP,
-    dot_action,
     kostant_set,
     restrict_to_levi,
     weyl_element,
-    weyl_inverse,
-    weyl_times,
 )
 
 small = st.integers(min_value=0, max_value=20)
+
+_BY_PERM = {w.perm: w for w in WEYL_GROUP}
+
+
+def _times(u, v):
+    """The product u v (v acts first), by composing permutations."""
+    return _BY_PERM[tuple(u.perm[v.perm[i] - 1] for i in range(3))]
+
+
+def _inverse(w):
+    inv = [0, 0, 0]
+    for i in range(3):
+        inv[w.perm[i] - 1] = i + 1
+    return _BY_PERM[tuple(inv)]
+
+
+def _dot_action(w, lam):
+    """w . lam as an EpsilonWeight, normalized to c3 = 0 for SL3 weights."""
+    moved = EpsilonWeight(*w.dot(lam))
+    return moved.normalized() if lam.m3 is None else moved
 
 
 def test_weyl_group_table():
@@ -37,13 +54,13 @@ def test_weyl_group_table():
 
 
 def test_weyl_products_and_inverses():
-    assert weyl_times(S1, S2) is S12
-    assert weyl_times(S2, S1) is S21
-    assert weyl_times(S1, weyl_times(S2, S1)) is W0
+    assert _times(S1, S2) is S12
+    assert _times(S2, S1) is S21
+    assert _times(S1, _times(S2, S1)) is W0
     for w in WEYL_GROUP:
-        assert weyl_times(w, weyl_inverse(w)) is E
+        assert _times(w, _inverse(w)) is E
         # length is additive against the long element
-        assert w.length + weyl_times(weyl_inverse(w), W0).length == 3
+        assert w.length + _times(_inverse(w), W0).length == 3
 
 
 def test_weyl_element_lookup():
@@ -64,12 +81,13 @@ def test_dot_action_in_fundamental_coordinates(m1, m2):
         "s1s2s1": (-m2 - 2, -m1 - 2),
     }
     for w in WEYL_GROUP:
-        assert dot_action(w, lam).fundamental() == expected[w.name]
+        assert _dot_action(w, lam).fundamental() == expected[w.name]
 
 
 def test_dot_action_normalizes_sl3():
-    out = dot_action(W0, HighestWeight(0, 0))
-    assert out.c3 == 0
+    # an SL3 weight acts as m3 = 0; only its class mod (1, 1, 1) is normalized
+    assert W0.dot(HighestWeight(0, 0)) == W0.dot(HighestWeight(0, 0, 0)) == (-2, 0, 2)
+    assert _dot_action(W0, HighestWeight(0, 0)) == EpsilonWeight(-4, -2, 0)
 
 
 def test_epsilon_coordinates():
@@ -112,7 +130,7 @@ def test_kostant_criterion_via_levi_root():
 
     alpha1, alpha2 = (1, -1, 0), (0, 1, -1)
     for w in WEYL_GROUP:
-        inv = weyl_inverse(w)
+        inv = _inverse(w)
         assert (w in kostant_set(P1)) == positive(apply(inv, alpha2))
         assert (w in kostant_set(P2)) == positive(apply(inv, alpha1))
 
@@ -171,7 +189,7 @@ def test_levi_restriction_by_linear_algebra(m1, m2):
         gamma, kappa = bases[levi]
         center = (1, 1, 1)
         for w in kostant_set(p):
-            rhs = [Fraction(c) for c in dot_action(w, lam).coords()]
+            rhs = [Fraction(c) for c in w.dot(lam)]
             a, n, _ = _solve3((gamma, kappa, center), rhs)
             r = restrict_to_levi(w, lam, levi)
             assert (a, n) == (r.a, r.n)
@@ -195,7 +213,7 @@ def test_parabolic_data():
     assert len(P1.nilradical_roots()) == 2
 
 
-# test-only copies of the EpsilonWeight route that dot_action and
+# test-only copies of the EpsilonWeight route that the dot action and
 # restrict_to_levi took before their integer form
 def _epsilon_apply(w, eps):
     out = [0, 0, 0]
@@ -229,7 +247,7 @@ weights = st.builds(
 @given(weights)
 def test_dot_action_matches_the_epsilon_weight_route(lam):
     for w in WEYL_GROUP:
-        assert dot_action(w, lam) == _epsilon_dot_action(w, lam)
+        assert _dot_action(w, lam) == _epsilon_dot_action(w, lam)
         assert w.apply(lam.epsilon()) == _epsilon_apply(w, lam.epsilon())
 
 

@@ -7,7 +7,6 @@ from sl3coh.rootsystem import HighestWeight
 from sl3coh.traces import (
     CyclotomicInt,
     SL3_TORSION_CLASSES,
-    ck_sum,
     closed_trace,
     gt_character,
     gt_trace,
@@ -123,19 +122,6 @@ def test_three_routes_agree_on_a_grid():
 def test_trace_ignores_determinant_twist(m1, m2, m3, k):
     assert gt_trace(m1, m2, m3, k) == gt_trace(m1, m2, 0, k)
     assert closed_trace(m1, m2, m3, k) == closed_trace(m1, m2, 0, k)
-
-
-def test_inner_run_closed_form():
-    for k in TRACE_ORDERS:
-        for p1 in range(13):
-            for p2 in range(p1 + 1):
-                direct = CyclotomicInt.zero(k)
-                for q in range(p2, p1 + 1):
-                    direct = direct + CyclotomicInt.zeta_power(k, 2 * q - p1 - p2)
-                assert ck_sum(p1, p2, k) == direct.to_int()
-    assert ck_sum(5, 4, 2) == -2
-    with pytest.raises(ValueError):
-        ck_sum(3, 5, 2)
 
 
 def test_trace_pins():
