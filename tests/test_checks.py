@@ -186,6 +186,16 @@ def test_a_route_that_raises_is_recorded(monkeypatch, cold_boundary_caches, name
             assert info["failures"] == 1
 
 
+def test_a_rank_with_no_line_to_map_is_recorded(monkeypatch):
+    # d1 onto every minimal-face line, also where column 0 has no trivial line
+    monkeypatch.setattr(boundary, "d1_rank", lambda lam, col0, col1, q: 1)
+    report = run_all(max_weight=6)
+    checks = [f["check"] for f in report["failures"]]
+    assert checks == ["boundary_assembly_raised", "random_spots_raised"]
+    for record in report["failures"]:
+        assert record["detail"].startswith("CrossCheckError: rank 1 with no line to map")
+
+
 def test_cross_check_error_is_an_assertion_error():
     assert issubclass(CrossCheckError, AssertionError)
 
