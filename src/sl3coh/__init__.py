@@ -21,7 +21,6 @@ from .boundary import (
 )
 from .errors import CrossCheckError
 from .eisenstein import (
-    GhostReport,
     cohomology_report,
     eisenstein_case_profile,
     ghost_report,
@@ -29,7 +28,6 @@ from .eisenstein import (
     verify_identities,
 )
 from .euler import (
-    EulerReport,
     SymbolicCell,
     euler_report,
     euler_values,

@@ -92,16 +92,15 @@ class GradedProfile:
     """A graded sum of summands, degrees with no summands omitted."""
 
     by_degree: tuple[tuple[int, tuple[CohomologySummand, ...]], ...]
-    case_id: int
 
     @classmethod
-    def build(cls, case_id: int, data: dict) -> "GradedProfile":
+    def build(cls, data: dict) -> "GradedProfile":
         items = []
         for q in sorted(data):
             merged = _merge(data[q])
             if merged:
                 items.append((q, merged))
-        return cls(by_degree=tuple(items), case_id=case_id)
+        return cls(by_degree=tuple(items))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.by_degree)
@@ -227,35 +226,24 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     page = e1_page(lam)
     col0 = page.column(0)
     col1 = page.column(1)
-    e2_0: dict[int, list[CohomologySummand]] = {}
-    e2_1: dict[int, int] = {}
+    by_degree: dict[int, list[CohomologySummand]] = {}
+    # E2 column-1 lines, by the total degree q + 1 they land in
+    cokernel: dict[int, int] = {}
     for q in range(4):
         rank = d1_rank(lam, col0, col1, q)
-        summands = [s for t in col0.get(q, ()) for s in t.summands]
-        if rank:
-            # quotient by the image: remove one of the mapping lines
-            for idx, s in enumerate(summands):
-                if s.kind == TRIVIAL:
-                    if s.mult > 1:
-                        summands[idx] = trivial_line(s.mult - 1)
-                    else:
-                        del summands[idx]
-                    break
-            else:
-                raise CrossCheckError(f"rank 1 with no line to map at {lam}, q={q}")
-        if summands:
-            e2_0[q] = summands
-        lines = len(col1.get(q, ())) - rank
+        terms = col0.get(q, ())
+        # quotient by the image: rank fewer of the mapping lines
+        lines = sum(t.trivial_lines() for t in terms) - rank
+        if lines < 0:
+            raise CrossCheckError(f"rank 1 with no line to map at {lam}, q={q}")
+        by_degree[q] = [s for t in terms for s in t.summands if s.kind != TRIVIAL]
         if lines:
-            e2_1[q] = lines
-    by_degree: dict[int, list[CohomologySummand]] = {}
-    for k in range(5):
-        parts = list(e2_0.get(k, []))
-        if e2_1.get(k - 1):
-            parts.append(trivial_line(e2_1[k - 1]))
-        if parts:
-            by_degree[k] = parts
-    profile = GradedProfile.build(case_classifier(lam), by_degree)
+            by_degree[q].append(trivial_line(lines))
+        cokernel[q + 1] = len(col1.get(q, ())) - rank
+    for q, lines in cokernel.items():
+        if lines:
+            by_degree.setdefault(q, []).append(trivial_line(lines))
+    profile = GradedProfile.build(by_degree)
     if cross_check:
         expected = case_profile(lam)
         if profile != expected:
@@ -299,7 +287,7 @@ def case_profile(lam: HighestWeight) -> GradedProfile:
         }
     else:
         data = {}
-    return GradedProfile.build(case, data)
+    return GradedProfile.build(data)
 
 
 def boundary_euler_closed(lam: HighestWeight) -> int:

@@ -195,7 +195,7 @@ def identities_at(lam: HighestWeight) -> Iterator[dict]:
 def ghosts_at(lam: HighestWeight) -> Iterator[dict]:
     """Ghost statuses: undetermined exactly in degree 2 of cases 6 and 7."""
     case = case_classifier(lam)
-    for q, status in ghost_report(lam).by_degree:
+    for q, status in ghost_report(lam).items():
         want = UNDETERMINED if (q == 2 and case in (6, 7)) else ZERO
         if status != want:
             yield _fail(

@@ -136,41 +136,30 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_euler_table(args) -> int:
+    # one grid, one row per m1 (mod 12 for the symbolic cells)
     if args.symbolic:
-        cells = [[cell.render() for cell in row] for row in symbolic_table()]
-        if args.format == "csv":
-            lines = ["m1_mod_12,m2_mod_12,cell"]
-            for i, row in enumerate(cells):
-                for j, cell in enumerate(row):
-                    lines.append(f'{i},{j},"{cell}"')
-        else:
-            header = "| m1\\m2 | " + " | ".join(str(j) for j in range(12)) + " |"
-            sep = "|---" * 13 + "|"
-            lines = [header, sep]
-            for i, row in enumerate(cells):
-                lines.append(f"| {i} | " + " | ".join(row) + " |")
-        _emit("\n".join(lines), args.out)
-        return 0
-    values = euler_values(args.m1_max, args.m2_max)
+        rows = [[cell.render() for cell in row] for row in symbolic_table()]
+        header, show = "m1_mod_12,m2_mod_12,cell", '"{}"'.format
+    else:
+        rows = euler_values(args.m1_max, args.m2_max)
+        header, show = "m1,m2,chi", str
+    width = len(rows[0])
     if args.format == "csv":
-        lines = ["m1,m2,chi"]
-        keys = [f"{m2}," for m2 in range(args.m2_max + 1)]
-        for m1, row in enumerate(values):
-            prefix = f"{m1},"
+        lines = [header]
+        keys = [f"{j}," for j in range(width)]
+        for i, row in enumerate(rows):
+            prefix = f"{i},"
             # one string per row, so that only one row's lines are alive at once
             lines.append(
-                "\n".join([prefix + key + str(v) for key, v in zip(keys, row)])
+                "\n".join([prefix + key + show(v) for key, v in zip(keys, row)])
             )
     else:
-        header = (
-            "| m1\\m2 | "
-            + " | ".join(str(m2) for m2 in range(args.m2_max + 1))
-            + " |"
-        )
-        sep = "|---" * (args.m2_max + 2) + "|"
-        lines = [header, sep]
-        for m1, row in enumerate(values):
-            lines.append(f"| {m1} | " + " | ".join(map(str, row)) + " |")
+        lines = [
+            "| m1\\m2 | " + " | ".join(map(str, range(width))) + " |",
+            "|---" * (width + 1) + "|",
+        ]
+        for i, row in enumerate(rows):
+            lines.append(f"| {i} | " + " | ".join(map(str, row)) + " |")
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -13,8 +13,6 @@ cases (0, odd) and (odd, 0), where a single line remains undetermined.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .boundary import (
     GradedProfile,
     boundary_profile,
@@ -55,7 +53,7 @@ def eisenstein_case_profile(lam: HighestWeight) -> GradedProfile:
         data = {2: [cusp(m1 + m2 + 3)], 3: [cusp(m2 + 2)]}
     else:
         data = {}
-    return GradedProfile.build(case, data)
+    return GradedProfile.build(data)
 
 
 def verify_identities(lam: HighestWeight) -> dict:
@@ -76,32 +74,18 @@ def verify_identities(lam: HighestWeight) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class GhostReport:
-    """Ghost class status per degree 0..4."""
-
-    weight: HighestWeight
-    by_degree: tuple[tuple[int, str], ...]
-
-    def status(self, q: int) -> str:
-        return dict(self.by_degree)[q]
-
-
-def ghost_report(lam: HighestWeight) -> GhostReport:
-    """Ghost statuses: zero everywhere, except degree 2 in cases 6 and 7.
+def ghost_report(lam: HighestWeight) -> dict[int, str]:
+    """Ghost status per degree 0..4: zero, except degree 2 in cases 6 and 7.
 
     There a single candidate line (restricted from the minimal face) may or
     may not survive; its status is reported as undetermined, never silently
     resolved.
     """
     case = case_classifier(lam.sl3_part())
-    statuses = []
-    for q in GHOST_DEGREES:
-        if q == 2 and case in (6, 7):
-            statuses.append((q, UNDETERMINED))
-        else:
-            statuses.append((q, ZERO))
-    return GhostReport(weight=lam, by_degree=tuple(statuses))
+    return {
+        q: UNDETERMINED if q == 2 and case in (6, 7) else ZERO
+        for q in GHOST_DEGREES
+    }
 
 
 def _profile_json(profile: GradedProfile, degrees: range) -> dict:
@@ -130,7 +114,7 @@ def cohomology_report(lam: HighestWeight, group: str = "sl3") -> dict:
     sl3 = lam.sl3_part()
     case = case_classifier(sl3)
     if vanishes:
-        boundary = eisenstein = GradedProfile.build(case, {})
+        boundary = eisenstein = GradedProfile.build({})
         identities = {}
         ghosts = {str(q): ZERO for q in GHOST_DEGREES}
         euler = {"chi_wall": 0, "chi_closed": 0, "table_cell": None}
@@ -138,14 +122,8 @@ def cohomology_report(lam: HighestWeight, group: str = "sl3") -> dict:
         boundary = boundary_profile(sl3)
         eisenstein = eisenstein_case_profile(sl3)
         identities = verify_identities(sl3)
-        ghosts = {str(q): s for q, s in ghost_report(sl3).by_degree}
-        chi = euler_report(sl3)
-        row, col, symbolic = chi.table_cell
-        euler = {
-            "chi_wall": chi.chi_wall,
-            "chi_closed": chi.chi_closed,
-            "table_cell": {"row": row, "col": col, "symbolic": symbolic},
-        }
+        ghosts = {str(q): s for q, s in ghost_report(sl3).items()}
+        euler = euler_report(sl3)
     weight = {"m1": lam.m1, "m2": lam.m2}
     if group == "gl3":
         weight["m3"] = lam.m3
@@ -175,7 +153,6 @@ def gl3_vanishes(lam: HighestWeight) -> bool:
 
 
 __all__ = [
-    "GhostReport",
     "ZERO",
     "UNDETERMINED",
     "GHOST_DEGREES",

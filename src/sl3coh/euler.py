@@ -136,30 +136,23 @@ def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class EulerReport:
-    """Both Euler routes for one weight, plus its table cell."""
+def euler_report(lam: HighestWeight) -> dict:
+    """Both routes and the table cell, as the report's euler block.
 
-    weight: HighestWeight
-    chi_wall: int
-    chi_closed: int
-    table_cell: tuple[int, int, str]
-
-
-def euler_report(lam: HighestWeight) -> EulerReport:
-    """Compute both routes and the table cell; CrossCheckError unless they agree."""
+    CrossCheckError unless the torsion sum, the closed form and the cell agree.
+    """
     sl3 = lam.sl3_part()
     wall = sl3_euler_wall(sl3)
     closed = sl3_euler_closed(sl3)
-    cell = symbolic_cell(sl3.m1 % 12, sl3.m2 % 12)
+    row, col = sl3.m1 % 12, sl3.m2 % 12
+    cell = symbolic_cell(row, col)
     value = cell.evaluate(sl3.m1, sl3.m2)
     if not wall == closed == value:
         raise CrossCheckError(
             f"chi at {lam}: torsion sum {wall}, closed {closed}, table cell {value}"
         )
-    return EulerReport(
-        weight=lam,
-        chi_wall=wall,
-        chi_closed=closed,
-        table_cell=(sl3.m1 % 12, sl3.m2 % 12, cell.render()),
-    )
+    return {
+        "chi_wall": wall,
+        "chi_closed": closed,
+        "table_cell": {"row": row, "col": col, "symbolic": cell.render()},
+    }

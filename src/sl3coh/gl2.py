@@ -38,10 +38,6 @@ class GL2Weight:
         if (self.a - self.n) % 2 != 0:
             raise ValueError(f"a and n must have equal parity, got ({self.a}, {self.n})")
 
-    @property
-    def det_power(self) -> int:
-        return (self.n - self.a) // 2
-
 
 @lru_cache(maxsize=None)
 def dim_cusp_forms(k: int, convention: str = ACTUAL) -> int:

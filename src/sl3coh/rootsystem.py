@@ -91,11 +91,6 @@ class WeylElement:
     def length(self) -> int:
         return len(self.reduced_word)
 
-    def apply(self, w: EpsilonWeight) -> EpsilonWeight:
-        c = w.coords()
-        i, j, k = self.source
-        return EpsilonWeight(c[i], c[j], c[k])
-
     def dot(self, lam: HighestWeight) -> tuple[int, int, int]:
         """The dot action w . lam = w(lam + rho) - rho as an integer triple.
 
@@ -136,14 +131,9 @@ def weyl_element(name: str) -> WeylElement:
 
 @dataclass(frozen=True)
 class Parabolic:
-    """A standard parabolic subgroup: P0 minimal, P1/P2 the two maximal ones.
-
-    parabolic_rank counts the simple roots in the nilradical's complement,
-    i.e. 2 for P0 and 1 for each maximal parabolic.
-    """
+    """A standard parabolic subgroup: P0 minimal, P1/P2 the two maximal ones."""
 
     tag: str
-    parabolic_rank: int
 
     def nilradical_roots(self) -> tuple[tuple[int, int, int], ...]:
         if self.tag == "P0":
@@ -155,10 +145,9 @@ class Parabolic:
         raise ValueError(f"unknown parabolic {self.tag!r}")
 
 
-P0 = Parabolic("P0", 2)
-P1 = Parabolic("P1", 1)
-P2 = Parabolic("P2", 1)
-PARABOLICS: tuple[Parabolic, ...] = (P0, P1, P2)
+P0 = Parabolic("P0")
+P1 = Parabolic("P1")
+P2 = Parabolic("P2")
 
 
 @dataclass(frozen=True)
@@ -172,7 +161,6 @@ class LeviWeight:
 
     a: int
     n: int
-    levi: int
 
 
 def _apply_to_root(w: WeylElement, root: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -231,4 +219,4 @@ def restrict_to_levi(w: WeylElement, lam: HighestWeight, levi: int) -> LeviWeigh
             f"Levi weight (a, n) = ({a}, {n}) of {w.name} . {lam} on levi {levi} "
             f"has a != n mod 2"
         )
-    return LeviWeight(a, n, levi)
+    return LeviWeight(a, n)

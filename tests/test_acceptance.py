@@ -183,7 +183,7 @@ def test_criterion_7_ghost_statuses():
         for m2 in range(61):
             lam = HighestWeight(m1, m2)
             case = case_classifier(lam)
-            for q, status in ghost_report(lam).by_degree:
+            for q, status in ghost_report(lam).items():
                 want = UNDETERMINED if (q == 2 and case in (6, 7)) else ZERO
                 if status != want:
                     failures.append(f"({m1}, {m2}) degree {q}: {status}")

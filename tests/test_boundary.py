@@ -16,6 +16,7 @@ from sl3coh.boundary import (
     trivial_line,
 )
 from sl3coh.gl2 import ACTUAL, EULER
+from sl3coh.parity import case_classifier
 from sl3coh.rootsystem import HighestWeight
 
 small = st.integers(min_value=0, max_value=40)
@@ -92,7 +93,7 @@ def test_case_profiles(case):
     lam = HighestWeight(m1, m2)
     profile = boundary_profile(lam, cross_check=False)
     assert profile == case_profile(lam)
-    assert profile.case_id == case
+    assert case_classifier(lam) == case
     assert profile.degrees() == tuple(sorted(expected))
     for q, multiset in expected.items():
         assert profile.multiset(q) == multiset
@@ -137,7 +138,7 @@ def test_summand_validation():
         CohomologySummand(CUSP)
     with pytest.raises(ValueError):
         CohomologySummand(TRIVIAL, mult=0)
-    # ghost status lives in GhostReport, not in a summand kind
+    # ghost statuses live in ghost_report, not in a summand kind
     with pytest.raises(ValueError, match="unknown summand kind"):
         CohomologySummand("GhostCandidateLine")
     assert cusp(12, mult=3).dimension() == 3
@@ -145,9 +146,7 @@ def test_summand_validation():
 
 
 def test_graded_profile_helpers():
-    profile = GradedProfile.build(
-        4, {1: [cusp(4), trivial_line(), cusp(4)], 3: []}
-    )
+    profile = GradedProfile.build({1: [cusp(4), trivial_line(), cusp(4)], 3: []})
     assert profile.degrees() == (1,)
     assert profile.summands(1) == (trivial_line(), cusp(4, mult=2))
     assert profile.multiset(1) == {(TRIVIAL, None): 1, (CUSP, 4): 2}

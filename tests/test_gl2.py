@@ -96,7 +96,6 @@ def test_gl2_weight_validation():
         GL2Weight(-2, 0)
     with pytest.raises(ValueError):
         GL2Weight(1, 2)
-    assert GL2Weight(10, 2).det_power == -4
 
 
 def test_h1_split_examples():
