@@ -2,7 +2,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sl3coh.boundary import CUSP, TRIVIAL, case_profile
+from sl3coh.boundary import (
+    CUSP,
+    TRIVIAL,
+    boundary_profile,
+    case_profile,
+    e1_page,
+)
 from sl3coh.eisenstein import (
     GHOST_DEGREES,
     UNDETERMINED,
@@ -13,7 +19,8 @@ from sl3coh.eisenstein import (
     gl3_vanishes,
     verify_identities,
 )
-from sl3coh.parity import case_classifier
+from sl3coh.euler import euler_report
+from sl3coh.parity import case_classifier, survivor_sets
 from sl3coh.rootsystem import HighestWeight
 
 small = st.integers(min_value=0, max_value=30)
@@ -136,3 +143,23 @@ def test_gl3_vanishing():
     assert not gl3_vanishes(HighestWeight(2, 5, 0))
     with pytest.raises(ValueError):
         gl3_vanishes(HighestWeight(1, 0))
+
+
+PER_WEIGHT = (
+    e1_page,
+    survivor_sets,
+    boundary_profile,
+    case_profile,
+    eisenstein_case_profile,
+    verify_identities,
+    ghost_report,
+    euler_report,
+)
+
+
+@pytest.mark.parametrize("fn", PER_WEIGHT, ids=lambda fn: fn.__name__)
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(-5, 5))
+def test_a_gl3_weight_gets_the_answer_of_its_sl3_part(fn, m1, m2, m3):
+    # m3 shifts every coordinate of w . lam alike, and the per-weight
+    # functions read only m1, m2 or coordinate differences
+    assert fn(HighestWeight(m1, m2, m3)) == fn(HighestWeight(m1, m2))
