@@ -13,7 +13,6 @@ from .boundary import (
     E1Page,
     E1Term,
     GradedProfile,
-    boundary_euler_closed,
     boundary_profile,
     case_profile,
     d1_rank,

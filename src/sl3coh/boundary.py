@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CrossCheckError
-from .gl2 import ACTUAL, EULER, GL2Weight, dim_cusp_forms, h1_split
+from .gl2 import ACTUAL, GL2Weight, dim_cusp_forms, h1_split
 from .parity import case_classifier, survivor_sets
 from .rootsystem import HighestWeight, restrict_to_levi
 
@@ -46,10 +46,11 @@ class CohomologySummand:
         if self.mult < 1:
             raise ValueError(f"multiplicity must be >= 1, got {self.mult}")
 
-    def dimension(self, convention: str = ACTUAL) -> int:
+    def dimension(self) -> int:
         if self.kind == TRIVIAL:
             return self.mult
-        return self.mult * dim_cusp_forms(self.k, convention)
+        # ACTUAL spelled out: it shares h1_split's cache entries
+        return self.mult * dim_cusp_forms(self.k, ACTUAL)
 
 
 def trivial_line(mult: int = 1) -> CohomologySummand:
@@ -80,11 +81,8 @@ def _merge(summands) -> tuple[CohomologySummand, ...]:
     return tuple(sorted(acc.values(), key=_order))
 
 
-def _dimension(summands, convention: str) -> int:
-    total = 0
-    for s in summands:
-        total += s.dimension(convention)
-    return total
+def _dimension(summands) -> int:
+    return sum(s.dimension() for s in summands)
 
 
 @dataclass(frozen=True)
@@ -111,21 +109,14 @@ class GradedProfile:
                 return s
         return ()
 
-    def dimension(self, q: int, convention: str = ACTUAL) -> int:
-        return _dimension(self.summands(q), convention)
+    def dimension(self, q: int) -> int:
+        return _dimension(self.summands(q))
 
-    def total_dimension(self, convention: str = ACTUAL) -> int:
-        total = 0
-        for _, summands in self.by_degree:
-            total += _dimension(summands, convention)
-        return total
+    def total_dimension(self) -> int:
+        return sum(_dimension(summands) for _, summands in self.by_degree)
 
-    def euler_characteristic(self, convention: str = ACTUAL) -> int:
-        total = 0
-        for q, summands in self.by_degree:
-            dim = _dimension(summands, convention)
-            total += -dim if q % 2 else dim
-        return total
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** q * _dimension(summands) for q, summands in self.by_degree)
 
     def multiset(self, q: int) -> dict:
         """Summand multiplicities at degree q, for order-free comparison."""
@@ -171,7 +162,6 @@ class E1Page:
 @lru_cache(maxsize=None)
 def e1_page(lam: HighestWeight) -> E1Page:
     """Assemble the E1 page from the surviving face contributions."""
-    lam = lam.sl3_part()
     sets = survivor_sets(lam)
     col0: dict[int, list[E1Term]] = {}
     col1: dict[int, list[E1Term]] = {}
@@ -222,7 +212,6 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     With cross_check (the default) the result must equal the closed case
     formula, or CrossCheckError is raised.
     """
-    lam = lam.sl3_part()
     page = e1_page(lam)
     col0 = page.column(0)
     col1 = page.column(1)
@@ -257,7 +246,6 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
 @lru_cache(maxsize=None)
 def case_profile(lam: HighestWeight) -> GradedProfile:
     """H^*(boundary) by the closed nine-case formula."""
-    lam = lam.sl3_part()
     m1, m2 = lam.m1, lam.m2
     case = case_classifier(lam)
     if case == 1:
@@ -289,20 +277,3 @@ def case_profile(lam: HighestWeight) -> GradedProfile:
         data = {}
     return GradedProfile.build(data)
 
-
-def boundary_euler_closed(lam: HighestWeight) -> int:
-    """chi(boundary) in closed form, by parity of (m1, m2)."""
-    m1, m2 = lam.m1, lam.m2
-    if m1 % 2 == 0 and m2 % 2 == 0:
-        return -2 * (
-            1 + dim_cusp_forms(m1 + 2, EULER) + dim_cusp_forms(m2 + 2, EULER)
-        )
-    if m1 % 2 == 0:
-        return 2 * (
-            dim_cusp_forms(m1 + m2 + 3, EULER) - dim_cusp_forms(m1 + 2, EULER)
-        )
-    if m2 % 2 == 0:
-        return 2 * (
-            dim_cusp_forms(m1 + m2 + 3, EULER) - dim_cusp_forms(m2 + 2, EULER)
-        )
-    return 0

@@ -12,7 +12,7 @@ import random
 from collections.abc import Iterator
 
 from . import traces
-from .boundary import boundary_euler_closed, boundary_profile, case_profile
+from .boundary import boundary_profile, case_profile
 from .eisenstein import (
     UNDETERMINED,
     ZERO,
@@ -156,7 +156,7 @@ def boundary_at(lam: HighestWeight) -> Iterator[dict]:
                 f"assembled {built.multiset(q)}, case formula {expected.multiset(q)}",
             )
     chi = built.euler_characteristic()
-    closed = boundary_euler_closed(lam)
+    closed = 2 * sl3_euler_closed(lam)
     if chi != closed:
         yield _fail(
             "boundary_euler_closed",

@@ -45,9 +45,9 @@ def _render_report_text(report: dict) -> str:
     if report["vanishes"]:
         lines.append("all cohomology vanishes (odd central character)")
     lines.append("boundary cohomology:")
-    lines += _text_from_json(report["boundary"], 5)
+    lines += _text_from_json(report["boundary"])
     lines.append("eisenstein cohomology:")
-    lines += _text_from_json(report["eisenstein"]["profile"], 4)
+    lines += _text_from_json(report["eisenstein"]["profile"])
     lines.append(f"chi_eis = {report['eisenstein']['chi_eis']}")
     euler = report["euler"]
     lines.append(
@@ -74,8 +74,8 @@ def _render_report_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _text_from_json(profile: dict, n: int) -> list[str]:
-    return [f"  H^{q} = " + _md_cell(profile.get(str(q), [])) for q in range(n)]
+def _text_from_json(profile: dict) -> list[str]:
+    return [f"  H^{q} = " + _md_cell(summands) for q, summands in profile.items()]
 
 
 def _render_report_md(report: dict) -> str:
@@ -88,11 +88,10 @@ def _render_report_md(report: dict) -> str:
         "| q | boundary | eisenstein | ghost |",
         "|---|----------|------------|-------|",
     ]
-    for q in range(5):
-        bd = _md_cell(report["boundary"].get(str(q), []))
-        eis = _md_cell(report["eisenstein"]["profile"].get(str(q), [])) if q < 4 else ""
-        ghost = report["ghost"][str(q)]
-        lines.append(f"| {q} | {bd} | {eis} | {ghost} |")
+    eisenstein = report["eisenstein"]["profile"]
+    for q, summands in report["boundary"].items():
+        eis = _md_cell(eisenstein[q]) if q in eisenstein else ""
+        lines.append(f"| {q} | {_md_cell(summands)} | {eis} | {report['ghost'][q]} |")
     euler = report["euler"]
     lines += [
         "",

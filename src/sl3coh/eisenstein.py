@@ -32,7 +32,6 @@ GHOST_DEGREES = (0, 1, 2, 3, 4)
 
 def eisenstein_case_profile(lam: HighestWeight) -> GradedProfile:
     """The Eisenstein cohomology profile, by the closed nine-case formula."""
-    lam = lam.sl3_part()
     m1, m2 = lam.m1, lam.m2
     case = case_classifier(lam)
     if case == 1:
@@ -58,7 +57,6 @@ def eisenstein_case_profile(lam: HighestWeight) -> GradedProfile:
 
 def verify_identities(lam: HighestWeight) -> dict:
     """The three exact identities linking Eisenstein, boundary, and Euler."""
-    lam = lam.sl3_part()
     dual = lam.dual()
     eis = eisenstein_case_profile(lam)
     eis_dual = eisenstein_case_profile(dual)
@@ -81,7 +79,7 @@ def ghost_report(lam: HighestWeight) -> dict[int, str]:
     may not survive; its status is reported as undetermined, never silently
     resolved.
     """
-    case = case_classifier(lam.sl3_part())
+    case = case_classifier(lam)
     return {
         q: UNDETERMINED if q == 2 and case in (6, 7) else ZERO
         for q in GHOST_DEGREES
@@ -111,6 +109,7 @@ def cohomology_report(lam: HighestWeight, group: str = "sl3") -> dict:
     if group == "sl3" and lam.m3 is not None:
         raise ValueError("an SL3 weight must not carry a determinant power")
     vanishes = group == "gl3" and gl3_vanishes(lam)
+    # reduced once here, so the per-weight caches hold SL3 weights only
     sl3 = lam.sl3_part()
     case = case_classifier(sl3)
     if vanishes:
@@ -151,14 +150,3 @@ def gl3_vanishes(lam: HighestWeight) -> bool:
         raise ValueError("a GL3 weight needs a determinant power m3")
     return (lam.m1 + lam.m3) % 2 != 0
 
-
-__all__ = [
-    "ZERO",
-    "UNDETERMINED",
-    "GHOST_DEGREES",
-    "eisenstein_case_profile",
-    "verify_identities",
-    "ghost_report",
-    "cohomology_report",
-    "gl3_vanishes",
-]

@@ -141,12 +141,11 @@ def euler_report(lam: HighestWeight) -> dict:
 
     CrossCheckError unless the torsion sum, the closed form and the cell agree.
     """
-    sl3 = lam.sl3_part()
-    wall = sl3_euler_wall(sl3)
-    closed = sl3_euler_closed(sl3)
-    row, col = sl3.m1 % 12, sl3.m2 % 12
+    wall = sl3_euler_wall(lam)
+    closed = sl3_euler_closed(lam)
+    row, col = lam.m1 % 12, lam.m2 % 12
     cell = symbolic_cell(row, col)
-    value = cell.evaluate(sl3.m1, sl3.m2)
+    value = cell.evaluate(lam.m1, lam.m2)
     if not wall == closed == value:
         raise CrossCheckError(
             f"chi at {lam}: torsion sum {wall}, closed {closed}, table cell {value}"

@@ -56,7 +56,6 @@ def maximal_parabolic_survives(w: WeylElement, lam: HighestWeight, levi: int) ->
 @lru_cache(maxsize=None)
 def survivor_sets(lam: HighestWeight) -> SurvivorSets:
     """All surviving Kostant representatives, ordered by length."""
-    lam = lam.sl3_part()
     w0 = tuple(w for w in kostant_set(P0) if minimal_parabolic_survives(w, lam))
     w1 = tuple(w for w in kostant_set(P1) if maximal_parabolic_survives(w, lam, 1))
     w2 = tuple(w for w in kostant_set(P2) if maximal_parabolic_survives(w, lam, 2))

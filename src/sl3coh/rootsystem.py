@@ -36,6 +36,17 @@ class EpsilonWeight:
         return EpsilonWeight(self.c1 - self.c3, self.c2 - self.c3, 0)
 
 
+def check_weight(m1: int, m2: int, m3: int = 0) -> None:
+    """Reject a weight that is not dominant or has a coordinate not an int."""
+    # exact types: bool and float would pass for ints in the arithmetic
+    if type(m1) is not int or type(m2) is not int or type(m3) is not int:
+        raise TypeError(
+            f"weight must have int coordinates, got ({m1!r}, {m2!r}, {m3!r})"
+        )
+    if m1 < 0 or m2 < 0:
+        raise ValueError(f"weight must be dominant, got ({m1}, {m2}, {m3})")
+
+
 @dataclass(frozen=True)
 class HighestWeight:
     """A dominant weight: m1, m2 >= 0 in fundamental coordinates.
@@ -49,22 +60,18 @@ class HighestWeight:
     m3: int | None = None
 
     def __post_init__(self) -> None:
-        # exact types: bool and float would pass for ints in the arithmetic
-        m3 = 0 if self.m3 is None else self.m3
-        if type(self.m1) is not int or type(self.m2) is not int or type(m3) is not int:
-            raise TypeError(
-                f"weight must have int coordinates, got "
-                f"({self.m1!r}, {self.m2!r}, {self.m3!r})"
-            )
-        if self.m1 < 0 or self.m2 < 0:
-            raise ValueError(f"weight must be dominant, got ({self.m1}, {self.m2})")
+        check_weight(self.m1, self.m2, 0 if self.m3 is None else self.m3)
 
     def epsilon(self) -> EpsilonWeight:
         m3 = 0 if self.m3 is None else self.m3
         return EpsilonWeight(self.m1 + self.m2 + m3, self.m2 + m3, m3)
 
     def sl3_part(self) -> "HighestWeight":
-        """Forget the determinant power."""
+        """Forget the determinant power.
+
+        The per-weight functions give any weight the answer of its SL3 part:
+        they read only m1, m2 or differences of the coordinates of w . lam.
+        """
         return self if self.m3 is None else HighestWeight(self.m1, self.m2)
 
     def dual(self) -> "HighestWeight":

@@ -30,6 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
+from .rootsystem import check_weight
+
 # Euler phi for the orders with integer or quadratic cyclotomic rings
 _PHI = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2}
 
@@ -168,16 +170,6 @@ SL3_TORSION_CLASSES: tuple[TorsionClass, ...] = (
 )
 
 
-def _check_weight(m1: int, m2: int, m3: int = 0) -> None:
-    # exact types: bool and float would pass for ints in the closed sums
-    if type(m1) is not int or type(m2) is not int or type(m3) is not int:
-        raise TypeError(
-            f"weight must have int coordinates, got ({m1!r}, {m2!r}, {m3!r})"
-        )
-    if m1 < 0 or m2 < 0:
-        raise ValueError(f"weight must be dominant, got ({m1}, {m2}, {m3})")
-
-
 def _check_order(k: int) -> None:
     if type(k) is not int:
         raise TypeError(f"order must be an int, got {k!r}")
@@ -193,7 +185,7 @@ def _zeta_sum(counts: list[int], k: int) -> int:
     if len(columns) > 1:
         linear = sum(map(mul, counts, columns[1]))
         if linear:
-            CyclotomicInt(k, (constant, linear)).to_int()  # raises
+            raise ValueError(f"{constant} + {linear} zeta_{k} is not an integer")
     return constant
 
 
@@ -207,7 +199,7 @@ def gt_trace(m1: int, m2: int, m3: int, k: int) -> int:
     arithmetic progressions d = first + k t, so each residue class of the
     exponent is a closed sum over t.  Cost O(k^2), whatever the weight.
     """
-    _check_weight(m1, m2, m3)
+    check_weight(m1, m2, m3)
     _check_order(k)
     return _zeta_sum(_gt_counts(m1, m2, m3, k), k)
 
@@ -298,7 +290,7 @@ def gt_character(
     m3 < 0 some exponents are negative, so t1, t2, t3 must then be roots
     of unity.
     """
-    _check_weight(m1, m2, m3)
+    check_weight(m1, m2, m3)
     lam_sum = m1 + 2 * m2 + 3 * m3
     # every exponent below lies in [m3, m1 + m2 + m3]
     exponents = range(m3, m1 + m2 + m3 + 1)
@@ -340,7 +332,7 @@ def closed_trace(m1: int, m2: int, m3: int, k: int) -> int:
     (m1, m2) on each parity class.  m3 never enters (the elements have
     determinant one).
     """
-    _check_weight(m1, m2, m3)
+    check_weight(m1, m2, m3)
     _check_order(k)
     if k == 6:
         return M6[m1 % 6][m2 % 6]
@@ -393,7 +385,7 @@ def weyl_det_trace(m1: int, m2: int, k: int) -> int:
     H_{m1,m2} = H_{m1+m2} H_{m2} - H_{m1+m2+1} H_{m2-1}, where H_m is the
     trace on the m-th symmetric power of the standard module.
     """
-    _check_weight(m1, m2)
+    check_weight(m1, m2)
     _check_order(k)
     return _h_row(m1 + m2, k) * _h_row(m2, k) - _h_row(m1 + m2 + 1, k) * _h_row(
         m2 - 1, k

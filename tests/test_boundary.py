@@ -7,7 +7,6 @@ from sl3coh.boundary import (
     CohomologySummand,
     GradedProfile,
     TRIVIAL,
-    boundary_euler_closed,
     boundary_profile,
     case_profile,
     cusp,
@@ -15,7 +14,7 @@ from sl3coh.boundary import (
     e1_page,
     trivial_line,
 )
-from sl3coh.gl2 import ACTUAL, EULER
+from sl3coh.euler import sl3_euler_closed
 from sl3coh.parity import case_classifier
 from sl3coh.rootsystem import HighestWeight
 
@@ -118,15 +117,13 @@ def test_boundary_duality(m1, m2):
     profile = case_profile(HighestWeight(m1, m2))
     dual = case_profile(HighestWeight(m2, m1))
     for q in range(5):
-        assert profile.dimension(q, ACTUAL) == dual.dimension(4 - q, ACTUAL)
+        assert profile.dimension(q) == dual.dimension(4 - q)
 
 
 @given(small, small)
 def test_euler_characteristic_matches_closed_form(m1, m2):
     lam = HighestWeight(m1, m2)
-    profile = case_profile(lam)
-    assert profile.euler_characteristic(EULER) == boundary_euler_closed(lam)
-    assert profile.euler_characteristic(ACTUAL) == boundary_euler_closed(lam)
+    assert case_profile(lam).euler_characteristic() == 2 * sl3_euler_closed(lam)
 
 
 def test_summand_validation():
@@ -142,7 +139,7 @@ def test_summand_validation():
     with pytest.raises(ValueError, match="unknown summand kind"):
         CohomologySummand("GhostCandidateLine")
     assert cusp(12, mult=3).dimension() == 3
-    assert trivial_line(2).dimension(EULER) == 2
+    assert trivial_line(2).dimension() == 2
 
 
 def test_graded_profile_helpers():
