@@ -110,11 +110,14 @@ def _md_cell(summands: list) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        print(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        _PARSER.exit(2, f"sl3coh: error: cannot write {out_path}: {exc.strerror}\n")
 
 
 def cmd_cohomology(args) -> int:

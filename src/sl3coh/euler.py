@@ -66,6 +66,10 @@ class SymbolicCell:
     offset: int = 0
     shift: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("zero", "sum", "m1", "m2"):
+            raise ValueError(f"unknown cell kind {self.kind!r}")
+
     def evaluate(self, m1: int, m2: int) -> int:
         if self.kind == "zero":
             return 0
@@ -73,10 +77,8 @@ class SymbolicCell:
             num = -(m1 + m2 - self.offset)
         elif self.kind == "m1":
             num = m1 - self.offset
-        elif self.kind == "m2":
-            num = m2 - self.offset
         else:
-            raise ValueError(f"unknown cell kind {self.kind!r}")
+            num = m2 - self.offset
         if num % 12 != 0:
             raise CrossCheckError(f"{self} does not divide at ({m1}, {m2})")
         return num // 12 + self.shift
@@ -125,6 +127,8 @@ def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
     divisibility check runs at every weight; the 144 cells are built once
     per call.
     """
+    if type(m1_max) is not int or type(m2_max) is not int:
+        raise TypeError(f"sweep bounds must be ints, got ({m1_max!r}, {m2_max!r})")
     if m1_max < 0 or m2_max < 0:
         raise ValueError("sweep bounds must be >= 0")
     cells = symbolic_table()

@@ -33,15 +33,20 @@ class GL2Weight:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.a) is not int or type(self.n) is not int:
+            raise TypeError(f"GL2 weight must be ints, got ({self.a!r}, {self.n!r})")
         if self.a < 0:
             raise ValueError(f"a must be >= 0, got {self.a}")
         if (self.a - self.n) % 2 != 0:
             raise ValueError(f"a and n must have equal parity, got ({self.a}, {self.n})")
 
 
-@lru_cache(maxsize=None)
+# typed: a float k must miss the entry of the equal int and raise
+@lru_cache(maxsize=None, typed=True)
 def dim_cusp_forms(k: int, convention: str = ACTUAL) -> int:
     """dim S_k for level one; k = 2 is 0 ("actual") or -1 ("euler")."""
+    if type(k) is not int:
+        raise TypeError(f"weight must be an int, got {k!r}")
     if convention not in (ACTUAL, EULER):
         raise ValueError(f"unknown convention {convention!r}")
     if k < 2:
@@ -58,12 +63,20 @@ def dim_cusp_forms(k: int, convention: str = ACTUAL) -> int:
     return ell
 
 
-def gl2_euler(m: int, det_twist: int) -> int:
-    """chi_h(GL2(Z), Sym^m tensor det^t), closed form by m mod 12."""
+def _check_sym(m: int, det_twist: int = 0) -> None:
+    """Reject Sym^m tensor det^det_twist unless m >= 0 and det_twist is 0 or 1."""
+    # exact types: a float would give a float answer
+    if type(m) is not int or type(det_twist) is not int:
+        raise TypeError(f"m and det_twist must be ints, got ({m!r}, {det_twist!r})")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if det_twist not in (0, 1):
         raise ValueError(f"det_twist must be 0 or 1, got {det_twist!r}")
+
+
+def gl2_euler(m: int, det_twist: int) -> int:
+    """chi_h(GL2(Z), Sym^m tensor det^t), closed form by m mod 12."""
+    _check_sym(m, det_twist)
     if m % 2 != 0:
         return 0
     ell, k = divmod(m, 12)
@@ -82,8 +95,7 @@ def gl2_euler(m: int, det_twist: int) -> int:
 
 def sl2_euler(m: int) -> int:
     """chi_h(SL2(Z), Sym^m), closed form by m mod 12."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    _check_sym(m)
     if m % 2 != 0:
         return 0
     ell, k = divmod(m, 12)
@@ -101,10 +113,7 @@ def gl2_euler_wall(m: int, det_twist: int) -> int:
     multiple of the trace of the class on the coefficients; the sum of
     fractions must be an integer.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if det_twist not in (0, 1):
-        raise ValueError(f"det_twist must be 0 or 1, got {det_twist!r}")
+    _check_sym(m, det_twist)
     tr_id = m + 1
     tr_minus = (-1) ** m * (m + 1)
     tr_sigma = ((-1) ** det_twist if m % 2 == 0 else 0)

@@ -283,6 +283,21 @@ def test_out_writes_a_file(capsys, tmp_path):
     assert report["case_id"] == 4
 
 
+def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as err:
+        main([
+            "cohomology", "--group", "sl3", "--m1", "1", "--m2", "1",
+            "--out", str(target),
+        ])
+    assert err.value.code == 2
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.startswith("sl3coh: error: cannot write ")
+    assert errors.count("\n") == 1
+    assert not target.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

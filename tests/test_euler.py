@@ -89,6 +89,9 @@ def test_symbolic_cell_validation():
         symbolic_cell(12, 0)
     with pytest.raises(ValueError):
         symbolic_cell(0, -1)
+    # an unknown kind is refused when the cell is made, not drawn as an m2 cell
+    with pytest.raises(ValueError, match="unknown cell kind"):
+        euler.SymbolicCell("bogus", 3, 1)
 
 
 def test_symbolic_table_shape_and_consistency():

@@ -2,6 +2,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sl3coh.checks import run_all
+from sl3coh.euler import euler_values
 from sl3coh.gl2 import (
     ACTUAL,
     COMPACT_BRANCH,
@@ -72,6 +74,47 @@ def test_euler_validation():
         gl2_euler_wall(2, -1)
     with pytest.raises(ValueError):
         sl2_euler(-1)
+
+
+def _cached_then_float():
+    # the equal int key is already cached; the float must still raise
+    dim_cusp_forms(12, EULER)
+    dim_cusp_forms(12.0, EULER)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gl2_euler(4.0, 0),
+        lambda: gl2_euler(4, True),
+        lambda: gl2_euler_wall(4.0, 0),
+        lambda: sl2_euler(12.0),
+        lambda: dim_cusp_forms(14.0),
+        _cached_then_float,
+        lambda: GL2Weight(2.0, 0),
+        lambda: GL2Weight(2, True),
+        lambda: run_all(2.5),
+        lambda: euler_values(True, 1),
+        lambda: euler_values(3, 2.0),
+    ],
+    ids=[
+        "gl2_euler_float_m",
+        "gl2_euler_bool_twist",
+        "gl2_euler_wall_float_m",
+        "sl2_euler_float_m",
+        "dim_cusp_forms_float_k",
+        "dim_cusp_forms_float_k_after_int",
+        "gl2_weight_float_a",
+        "gl2_weight_bool_n",
+        "run_all_float_bound",
+        "euler_values_bool_bound",
+        "euler_values_float_bound",
+    ],
+)
+def test_non_int_arguments_raise_type_error(call):
+    # exact arithmetic only: a float or bool never passes for an int
+    with pytest.raises(TypeError):
+        call()
 
 
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=1))
