@@ -82,7 +82,10 @@ def _merge(summands) -> tuple[CohomologySummand, ...]:
 
 
 def _dimension(summands) -> int:
-    return sum(s.dimension() for s in summands)
+    total = 0
+    for s in summands:
+        total += s.dimension()
+    return total
 
 
 @dataclass(frozen=True)

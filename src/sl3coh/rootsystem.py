@@ -67,11 +67,7 @@ class HighestWeight:
         return EpsilonWeight(self.m1 + self.m2 + m3, self.m2 + m3, m3)
 
     def sl3_part(self) -> "HighestWeight":
-        """Forget the determinant power.
-
-        The per-weight functions give any weight the answer of its SL3 part:
-        they read only m1, m2 or differences of the coordinates of w . lam.
-        """
+        """Forget the determinant power, which no per-weight function reads."""
         return self if self.m3 is None else HighestWeight(self.m1, self.m2)
 
     def dual(self) -> "HighestWeight":
