@@ -34,7 +34,7 @@ class GL2Weight:
 
     def __post_init__(self) -> None:
         if type(self.a) is not int or type(self.n) is not int:
-            raise TypeError(f"GL2 weight must be ints, got ({self.a!r}, {self.n!r})")
+            raise TypeError(f"a and n must be ints, got ({self.a!r}, {self.n!r})")
         if self.a < 0:
             raise ValueError(f"a must be >= 0, got {self.a}")
         if (self.a - self.n) % 2 != 0:
