@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CrossCheckError
-from .gl2 import ACTUAL, GL2Weight, dim_cusp_forms, h1_split
+from .gl2 import GL2Weight, dim_cusp_forms, h1_split
 from .parity import case_classifier, survivor_sets
 from .rootsystem import HighestWeight, restrict_to_levi
 
@@ -49,8 +49,7 @@ class CohomologySummand:
     def dimension(self) -> int:
         if self.kind == TRIVIAL:
             return self.mult
-        # ACTUAL spelled out: it shares h1_split's cache entries
-        return self.mult * dim_cusp_forms(self.k, ACTUAL)
+        return self.mult * dim_cusp_forms(self.k)
 
 
 def trivial_line(mult: int = 1) -> CohomologySummand:

@@ -257,6 +257,8 @@ def run_all(max_weight: int = 60, seed: int = 0) -> dict:
     """Run every check family up to max_weight; returns a summary report."""
     if type(max_weight) is not int:
         raise TypeError(f"max_weight must be an int, got {max_weight!r}")
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an int, got {seed!r}")
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     failures = []

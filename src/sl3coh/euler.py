@@ -5,7 +5,8 @@ Two routes for chi_h(SL3(Z), M_(m1,m2)):
 * sl3_euler_wall: the rational sum over torsion classes, each contributing
   (centralizer Euler characteristic) x (class count) x (trace on M);
 * sl3_euler_closed: the closed form in cusp form dimensions, organized by
-  the parities of (m1, m2), with the dim S_2 = -1 convention.
+  the parities of (m1, m2), with the residual value dim S_2 = -1 (_dim_s;
+  gl2.dim_cusp_forms keeps the classical dim S_2 = 0).
 
 The closed form is periodic-plus-linear in (m1, m2) mod 12, which gives the
 12 x 12 table of symbolic cells; euler_values evaluates the cells over a
@@ -17,9 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .gl2 import EULER, dim_cusp_forms
+from .gl2 import dim_cusp_forms
 from .rootsystem import HighestWeight
 from .traces import SL3_TORSION_CLASSES, closed_trace
+
+
+def _dim_s(k: int) -> int:
+    """dim S_k with the residual value dim S_2 = -1 of the Euler formulas."""
+    return -1 if k == 2 else dim_cusp_forms(k)
 
 
 def sl3_euler_wall(lam: HighestWeight) -> int:
@@ -44,11 +50,11 @@ def sl3_euler_closed(lam: HighestWeight) -> int:
     """chi_h(SL3(Z), M_lam) in cusp form dimensions, by parity of (m1, m2)."""
     m1, m2 = lam.m1, lam.m2
     if m1 % 2 == 0 and m2 % 2 == 0:
-        return -1 - dim_cusp_forms(m1 + 2, EULER) - dim_cusp_forms(m2 + 2, EULER)
+        return -1 - _dim_s(m1 + 2) - _dim_s(m2 + 2)
     if m1 % 2 == 0:
-        return -dim_cusp_forms(m1 + 2, EULER) + dim_cusp_forms(m1 + m2 + 3, EULER)
+        return -_dim_s(m1 + 2) + _dim_s(m1 + m2 + 3)
     if m2 % 2 == 0:
-        return -dim_cusp_forms(m2 + 2, EULER) + dim_cusp_forms(m1 + m2 + 3, EULER)
+        return -_dim_s(m2 + 2) + _dim_s(m1 + m2 + 3)
     return 0
 
 
@@ -101,17 +107,19 @@ class SymbolicCell:
 
 def symbolic_cell(i: int, j: int) -> SymbolicCell:
     """The Euler table cell for m1 = i, m2 = j mod 12."""
+    if type(i) is not int or type(j) is not int:
+        raise TypeError(f"residues must be ints, got ({i!r}, {j!r})")
     if not (0 <= i < 12 and 0 <= j < 12):
         raise ValueError(f"residues must be in 0..11, got ({i}, {j})")
     if i % 2 == 1 and j % 2 == 1:
         return SymbolicCell("zero")
     if i % 2 == 0 and j % 2 == 0:
-        shift = -(1 + dim_cusp_forms(i + 2, EULER) + dim_cusp_forms(j + 2, EULER))
+        shift = -(1 + _dim_s(i + 2) + _dim_s(j + 2))
         return SymbolicCell("sum", offset=i + j, shift=shift)
     if i % 2 == 0:
-        shift = dim_cusp_forms(i + j + 3, EULER) - dim_cusp_forms(i + 2, EULER)
+        shift = _dim_s(i + j + 3) - _dim_s(i + 2)
         return SymbolicCell("m2", offset=j, shift=shift)
-    shift = dim_cusp_forms(i + j + 3, EULER) - dim_cusp_forms(j + 2, EULER)
+    shift = _dim_s(i + j + 3) - _dim_s(j + 2)
     return SymbolicCell("m1", offset=i, shift=shift)
 
 

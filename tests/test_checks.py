@@ -10,6 +10,7 @@ import pytest
 from sl3coh import (
     CrossCheckError,
     boundary,
+    checks,
     eisenstein,
     euler,
     gl2,
@@ -322,6 +323,29 @@ def _gl2_euler_fault(monkeypatch):
     _replace_route(monkeypatch, clean, corrupted)
 
 
+def _sl2_euler_fault(monkeypatch):
+    clean = gl2.sl2_euler
+    _replace_route(monkeypatch, clean, lambda m: clean(m) + (m == 4))
+
+
+def _cusp_dimension_fault(monkeypatch):
+    # only the comparison's own copy: the profiles keep the clean dimensions
+    clean = gl2.dim_cusp_forms
+    monkeypatch.setattr(checks, "dim_cusp_forms", lambda k: clean(k) + (k == 6))
+
+
+def _gt_m3_fault(monkeypatch):
+    clean = traces._gt_counts
+
+    def corrupted(m1, m2, m3, k):
+        counts = clean(m1, m2, m3, k)
+        if (m3, k) == (1, 3):
+            counts[0] += 1
+        return counts
+
+    monkeypatch.setattr(traces, "_gt_counts", corrupted)
+
+
 def _survivor_parity_fault(monkeypatch):
     clean = parity.maximal_parabolic_survives
 
@@ -387,10 +411,15 @@ def _by_family(report):
             "boundary_profile_vs_case_formula",
             True,
         ),
+        (_case_profile_fault, "identities", "boundary_duality", True),
+        (_case_profile_fault, "identities", "eisenstein_inside_boundary", True),
         (_eisenstein_fault, "identities", "chi_eis_equals_chi_h", True),
         (_symbolic_cell_fault, "euler_routes", "euler_cell_vs_closed", True),
         (_torsion_class_fault, "euler_routes", "sl3_euler_wall_vs_closed", True),
         (_gl2_euler_fault, "gl2_routes", "gl2_euler_wall_vs_closed", False),
+        (_sl2_euler_fault, "gl2_routes", "sl2_additivity", False),
+        (_cusp_dimension_fault, "gl2_routes", "gl2_h1_dimension", False),
+        (_gt_m3_fault, "trace_routes", "gt_trace_m3_independence", False),
         (_survivor_parity_fault, "survivors", "survivor_parity", False),
         (_ghost_rule_fault, "ghosts", "ghost_support", False),
         (_kostant_set_fault, "kostant", "kostant_set", False),
@@ -403,10 +432,15 @@ def _by_family(report):
     ],
     ids=[
         "case_profile",
+        "case_profile_duality",
+        "case_profile_eisenstein_inside",
         "eisenstein_case_profile",
         "symbolic_cell",
         "torsion_class",
         "gl2_euler",
+        "sl2_euler",
+        "cusp_dimension",
+        "gt_m3",
         "survivor_parity",
         "ghost_rule",
         "kostant_set",

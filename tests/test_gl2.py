@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl3coh.checks import run_all
-from sl3coh.euler import euler_values
+from sl3coh.euler import _dim_s, euler_values, symbolic_cell
 from sl3coh.gl2 import (
-    ACTUAL,
     COMPACT_BRANCH,
-    EULER,
     GL2Weight,
     INTERIOR_BRANCH,
     dim_cusp_forms,
@@ -28,9 +26,10 @@ def test_cusp_dimensions_match_classical_table():
 
 
 def test_cusp_dimension_conventions():
-    assert dim_cusp_forms(2, ACTUAL) == 0
-    assert dim_cusp_forms(2, EULER) == -1
-    assert dim_cusp_forms(4, EULER) == dim_cusp_forms(4, ACTUAL) == 0
+    # the Euler formulas' residual dim S_2 = -1 lives in euler, not in gl2
+    assert dim_cusp_forms(2) == 0
+    assert _dim_s(2) == -1
+    assert _dim_s(4) == dim_cusp_forms(4) == 0
 
 
 def test_cusp_dimension_validation():
@@ -38,8 +37,6 @@ def test_cusp_dimension_validation():
         dim_cusp_forms(0)
     with pytest.raises(ValueError):
         dim_cusp_forms(-4)
-    with pytest.raises(ValueError):
-        dim_cusp_forms(12, "classical")
     assert dim_cusp_forms(13) == 0  # odd weight
 
 
@@ -78,8 +75,8 @@ def test_euler_validation():
 
 def _cached_then_float():
     # the equal int key is already cached; the float must still raise
-    dim_cusp_forms(12, EULER)
-    dim_cusp_forms(12.0, EULER)
+    dim_cusp_forms(12)
+    dim_cusp_forms(12.0)
 
 
 @pytest.mark.parametrize(
@@ -94,8 +91,12 @@ def _cached_then_float():
         lambda: GL2Weight(2.0, 0),
         lambda: GL2Weight(2, True),
         lambda: run_all(2.5),
+        lambda: run_all(2, None),
+        lambda: run_all(2, 1.5),
         lambda: euler_values(True, 1),
         lambda: euler_values(3, 2.0),
+        lambda: symbolic_cell(1.0, 3),
+        lambda: symbolic_cell(True, 1),
     ],
     ids=[
         "gl2_euler_float_m",
@@ -107,8 +108,12 @@ def _cached_then_float():
         "gl2_weight_float_a",
         "gl2_weight_bool_n",
         "run_all_float_bound",
+        "run_all_none_seed",
+        "run_all_float_seed",
         "euler_values_bool_bound",
         "euler_values_float_bound",
+        "symbolic_cell_float_residue",
+        "symbolic_cell_bool_residue",
     ],
 )
 def test_non_int_arguments_raise_type_error(call):
