@@ -43,6 +43,8 @@ class CohomologySummand:
             raise ValueError(f"unknown summand kind {self.kind!r}")
         if (self.kind == CUSP) != (self.k is not None):
             raise ValueError("Cusp summands carry a weight k; others must not")
+        if type(self.mult) is not int or type(self.k) not in (int, type(None)):
+            raise TypeError(f"k and mult must be ints, got {self.k!r}, {self.mult!r}")
         if self.mult < 1:
             raise ValueError(f"multiplicity must be >= 1, got {self.mult}")
 

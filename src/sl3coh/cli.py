@@ -125,7 +125,7 @@ def cmd_cohomology(args) -> int:
     report = {
         "tool": "sl3coh",
         "version": __version__,
-        **cohomology_report(lam, args.group),
+        **cohomology_report(lam),
     }
     if args.format == "json":
         text = json.dumps(report, indent=2)

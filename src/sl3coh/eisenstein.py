@@ -95,19 +95,17 @@ def _profile_json(profile: GradedProfile, degrees: range) -> dict:
     }
 
 
-def cohomology_report(lam: HighestWeight, group: str = "sl3") -> dict:
-    """The full cohomology report of one SL3(Z) or GL3(Z) weight, JSON-able.
+def cohomology_report(lam: HighestWeight) -> dict:
+    """The full cohomology report of one weight, JSON-able.
 
+    The group is SL3(Z) for a weight without m3 and GL3(Z) for one with it.
     Boundary and Eisenstein profiles, both Euler routes with the table cell,
     ghost statuses and identity flags.  For non-self-dual weights the inner
     part vanishes and the Eisenstein part is the whole cohomology; for
     self-dual weights (m1 = m2) it is a lower bound only.  An odd GL3
     central character kills everything, and then nothing is open.
     """
-    if group not in ("sl3", "gl3"):
-        raise ValueError(f"group must be 'sl3' or 'gl3', got {group!r}")
-    if group == "sl3" and lam.m3 is not None:
-        raise ValueError("an SL3 weight must not carry a determinant power")
+    group = "sl3" if lam.m3 is None else "gl3"
     vanishes = group == "gl3" and gl3_vanishes(lam)
     # reduced once here, so the per-weight caches hold SL3 weights only
     sl3 = lam.sl3_part()

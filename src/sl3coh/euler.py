@@ -75,6 +75,8 @@ class SymbolicCell:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "sum", "m1", "m2"):
             raise ValueError(f"unknown cell kind {self.kind!r}")
+        if type(self.offset) is not int or type(self.shift) is not int:
+            raise TypeError(f"offset and shift must be ints, got {self!r}")
 
     def evaluate(self, m1: int, m2: int) -> int:
         if self.kind == "zero":

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import CrossCheckError
-
 
 @dataclass(frozen=True)
 class EpsilonWeight:
@@ -132,20 +130,22 @@ def weyl_element(name: str) -> WeylElement:
         raise ValueError(f"unknown Weyl element {name!r}") from None
 
 
+# the roots of the nilradical of each standard parabolic
+_NILRADICAL = {"P0": POSITIVE_ROOTS, "P1": (ALPHA1, ALPHA12), "P2": (ALPHA2, ALPHA12)}
+
+
 @dataclass(frozen=True)
 class Parabolic:
     """A standard parabolic subgroup: P0 minimal, P1/P2 the two maximal ones."""
 
     tag: str
 
+    def __post_init__(self) -> None:
+        if self.tag not in _NILRADICAL:
+            raise ValueError(f"unknown parabolic {self.tag!r}")
+
     def nilradical_roots(self) -> tuple[tuple[int, int, int], ...]:
-        if self.tag == "P0":
-            return POSITIVE_ROOTS
-        if self.tag == "P1":
-            return (ALPHA1, ALPHA12)
-        if self.tag == "P2":
-            return (ALPHA2, ALPHA12)
-        raise ValueError(f"unknown parabolic {self.tag!r}")
+        return _NILRADICAL[self.tag]
 
 
 P0 = Parabolic("P0")
@@ -208,18 +208,13 @@ def restrict_to_levi(w: WeylElement, lam: HighestWeight, levi: int) -> LeviWeigh
     levi 1 reads (c2 - c3, c2 + c3 - 2 c1), levi 2 reads
     (c1 - c2, c1 + c2 - 2 c3).
     """
+    if type(levi) is not int:
+        raise TypeError(f"levi must be an int, got {levi!r}")
     if levi not in (1, 2):
         raise ValueError(f"levi must be 1 or 2, got {levi!r}")
     if w not in _LEVI_KOSTANT[levi]:
         raise ValueError(f"{w.name} is not a Kostant representative for P{levi}")
     c1, c2, c3 = w.dot(lam)
     if levi == 1:
-        a, n = c2 - c3, c2 + c3 - 2 * c1
-    else:
-        a, n = c1 - c2, c1 + c2 - 2 * c3
-    if (a - n) % 2 != 0:
-        raise CrossCheckError(
-            f"Levi weight (a, n) = ({a}, {n}) of {w.name} . {lam} on levi {levi} "
-            f"has a != n mod 2"
-        )
-    return LeviWeight(a, n)
+        return LeviWeight(c2 - c3, c2 + c3 - 2 * c1)
+    return LeviWeight(c1 - c2, c1 + c2 - 2 * c3)

@@ -64,6 +64,8 @@ class CyclotomicInt:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.order) is not int:
+            raise TypeError(f"order must be an int, got {self.order!r}")
         if self.order not in _PHI:
             raise ValueError(f"order must be one of 1, 2, 3, 4, 6, got {self.order!r}")
         if len(self.coefficients) != _PHI[self.order]:

@@ -104,16 +104,23 @@ def test_injected_h_row_fault_is_caught(monkeypatch, cold_h_row):
     assert all(f["params"]["k"] == 6 for f in report["failures"])
 
 
-def test_injected_gt_trace_fault_is_caught(monkeypatch):
+def _bump_gt_counts(monkeypatch, hit, residue=0):
+    # one more basis vector at exponent residue mod k wherever hit holds
     clean = traces._gt_counts
 
     def corrupted(m1, m2, m3, k):
         counts = clean(m1, m2, m3, k)
-        if k == 6 and (m1 % 6, m2 % 6) == (1, 1):
-            counts[0] += 1
+        if hit(m1, m2, m3, k):
+            counts[residue] += 1
         return counts
 
     monkeypatch.setattr(traces, "_gt_counts", corrupted)
+
+
+def test_injected_gt_trace_fault_is_caught(monkeypatch):
+    _bump_gt_counts(
+        monkeypatch, lambda m1, m2, m3, k: k == 6 and (m1 % 6, m2 % 6) == (1, 1)
+    )
     report = run_all(max_weight=6)
     assert not report["ok"]
     names = {f["check"] for f in report["failures"]}
@@ -305,10 +312,11 @@ def _symbolic_cell_fault(monkeypatch):
     _replace_route(monkeypatch, clean, corrupted)
 
 
-def _torsion_class_fault(monkeypatch):
-    # the order-4 class counted 4 more times: the sum stays integral
+def _torsion_class_fault(monkeypatch, extra=4):
+    # the order-4 class counted extra more times: with 4 the sum stays
+    # integral, with 1 it does not
     classes = tuple(
-        dataclasses.replace(c, resultant=c.resultant + 4) if c.order == 4 else c
+        dataclasses.replace(c, resultant=c.resultant + extra) if c.order == 4 else c
         for c in euler.SL3_TORSION_CLASSES
     )
     monkeypatch.setattr(euler, "SL3_TORSION_CLASSES", classes)
@@ -335,15 +343,7 @@ def _cusp_dimension_fault(monkeypatch):
 
 
 def _gt_m3_fault(monkeypatch):
-    clean = traces._gt_counts
-
-    def corrupted(m1, m2, m3, k):
-        counts = clean(m1, m2, m3, k)
-        if (m3, k) == (1, 3):
-            counts[0] += 1
-        return counts
-
-    monkeypatch.setattr(traces, "_gt_counts", corrupted)
+    _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: (m3, k) == (1, 3))
 
 
 def _survivor_parity_fault(monkeypatch):
@@ -464,3 +464,27 @@ def test_each_family_fails_when_its_route_is_corrupted(
     )
     if spot:
         assert check in {f["check"] for f in spots}
+
+
+def _gt_zeta_fault(monkeypatch):
+    _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: (m1, m2, k) == (2, 2, 3), 1)
+
+
+@pytest.mark.parametrize(
+    "fault, family, detail",
+    [
+        (
+            lambda mp: _torsion_class_fault(mp, extra=1),
+            "euler_routes",
+            "CrossCheckError: torsion sum at HighestWeight(m1=0, m2=0, m3=None)",
+        ),
+        (_gt_zeta_fault, "trace_routes", "ValueError: 0 + 1 zeta_3"),
+    ],
+    ids=["torsion_sum", "zeta_sum"],
+)
+def test_a_sum_outside_the_integers_is_recorded(monkeypatch, fault, family, detail):
+    fault(monkeypatch)
+    records = _by_family(run_all(max_weight=6))[family]
+    assert [f["check"] for f in records] == [f"{family}_raised"]
+    assert records[0]["detail"].startswith(detail)
+    assert records[0]["detail"].endswith("not an integer")

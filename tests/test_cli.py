@@ -308,6 +308,7 @@ def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path):
         ["euler-table"],
         ["euler-table", "--m1-max", "4"],
         ["verify", "--max", "-2"],
+        ["cohomology", "--group", "sl3", "--m1", "x", "--m2", "0"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):

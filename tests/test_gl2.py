@@ -2,8 +2,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sl3coh import checks
+from sl3coh.boundary import CohomologySummand, cusp, trivial_line
 from sl3coh.checks import run_all
-from sl3coh.euler import _dim_s, euler_values, symbolic_cell
+from sl3coh.euler import SymbolicCell, _dim_s, euler_values, symbolic_cell
 from sl3coh.gl2 import (
     COMPACT_BRANCH,
     GL2Weight,
@@ -14,6 +16,9 @@ from sl3coh.gl2 import (
     h1_split,
     sl2_euler,
 )
+from sl3coh.parity import maximal_parabolic_survives
+from sl3coh.rootsystem import E, HighestWeight, restrict_to_levi
+from sl3coh.traces import CyclotomicInt
 
 # classical level-one dimensions
 CLASSICAL_DIMS = {2: 0, 4: 0, 6: 0, 8: 0, 10: 0, 12: 1, 14: 0, 16: 1, 18: 1,
@@ -82,38 +87,38 @@ def _cached_then_float():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: gl2_euler(4.0, 0),
-        lambda: gl2_euler(4, True),
-        lambda: gl2_euler_wall(4.0, 0),
-        lambda: sl2_euler(12.0),
-        lambda: dim_cusp_forms(14.0),
-        _cached_then_float,
-        lambda: GL2Weight(2.0, 0),
-        lambda: GL2Weight(2, True),
-        lambda: run_all(2.5),
-        lambda: run_all(2, None),
-        lambda: run_all(2, 1.5),
-        lambda: euler_values(True, 1),
-        lambda: euler_values(3, 2.0),
-        lambda: symbolic_cell(1.0, 3),
-        lambda: symbolic_cell(True, 1),
-    ],
-    ids=[
-        "gl2_euler_float_m",
-        "gl2_euler_bool_twist",
-        "gl2_euler_wall_float_m",
-        "sl2_euler_float_m",
-        "dim_cusp_forms_float_k",
-        "dim_cusp_forms_float_k_after_int",
-        "gl2_weight_float_a",
-        "gl2_weight_bool_n",
-        "run_all_float_bound",
-        "run_all_none_seed",
-        "run_all_float_seed",
-        "euler_values_bool_bound",
-        "euler_values_float_bound",
-        "symbolic_cell_float_residue",
-        "symbolic_cell_bool_residue",
+        pytest.param(lambda: gl2_euler(4.0, 0), id="gl2_euler_float_m"),
+        pytest.param(lambda: gl2_euler(4, True), id="gl2_euler_bool_twist"),
+        pytest.param(lambda: gl2_euler_wall(4.0, 0), id="gl2_euler_wall_float_m"),
+        pytest.param(lambda: sl2_euler(12.0), id="sl2_euler_float_m"),
+        pytest.param(lambda: dim_cusp_forms(14.0), id="dim_cusp_forms_float_k"),
+        pytest.param(_cached_then_float, id="dim_cusp_forms_float_k_after_int"),
+        pytest.param(lambda: GL2Weight(2.0, 0), id="gl2_weight_float_a"),
+        pytest.param(lambda: GL2Weight(2, True), id="gl2_weight_bool_n"),
+        pytest.param(lambda: run_all(2.5), id="run_all_float_bound"),
+        pytest.param(lambda: run_all(2, None), id="run_all_none_seed"),
+        pytest.param(lambda: run_all(2, 1.5), id="run_all_float_seed"),
+        pytest.param(lambda: euler_values(True, 1), id="euler_values_bool_bound"),
+        pytest.param(lambda: euler_values(3, 2.0), id="euler_values_float_bound"),
+        pytest.param(lambda: symbolic_cell(1.0, 3), id="symbolic_cell_float_residue"),
+        pytest.param(lambda: symbolic_cell(True, 1), id="symbolic_cell_bool_residue"),
+        pytest.param(
+            lambda: CohomologySummand("Cusp", k=12, mult=1.5), id="summand_float_mult"
+        ),
+        pytest.param(lambda: trivial_line(True), id="summand_bool_mult"),
+        pytest.param(lambda: cusp(12.0), id="summand_float_k"),
+        pytest.param(
+            lambda: restrict_to_levi(E, HighestWeight(2, 1), True),
+            id="restrict_to_levi_bool_levi",
+        ),
+        pytest.param(
+            lambda: maximal_parabolic_survives(E, HighestWeight(2, 1), True),
+            id="maximal_parabolic_survives_bool_levi",
+        ),
+        pytest.param(lambda: CyclotomicInt(True, (1,)), id="cyclotomic_bool_order"),
+        pytest.param(
+            lambda: SymbolicCell("sum", offset=1.5), id="symbolic_cell_float_offset"
+        ),
     ],
 )
 def test_non_int_arguments_raise_type_error(call):
@@ -122,21 +127,10 @@ def test_non_int_arguments_raise_type_error(call):
         call()
 
 
-@given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=1))
-def test_wall_sum_equals_closed_form(m, t):
-    assert gl2_euler_wall(m, t) == gl2_euler(m, t)
-
-
-@given(st.integers(min_value=0, max_value=300))
-def test_sl2_splits_over_the_two_twists(m):
-    assert sl2_euler(m) == gl2_euler(m, 0) + gl2_euler(m, 1)
-
-
-@given(st.integers(min_value=1, max_value=200))
-def test_h1_dimension_from_euler(half_m):
-    # H^0 and H^2 vanish for m > 0, so dim H^1 = -chi = dim S_{m+2}
-    m = 2 * half_m
-    assert -gl2_euler_wall(m, 0) == dim_cusp_forms(m + 2)
+@given(st.integers(min_value=0, max_value=400))
+def test_gl2_family_holds(m):
+    # the registry's comparison: wall sums, SL2 splitting, dim H^1
+    assert list(checks.gl2_at(m)) == []
 
 
 def test_gl2_weight_validation():

@@ -11,6 +11,7 @@ from sl3coh.rootsystem import (
     P0,
     P1,
     P2,
+    Parabolic,
     S1,
     S2,
     S12,
@@ -135,24 +136,6 @@ def test_kostant_criterion_via_levi_root():
         assert (w in kostant_set(P2)) == positive(apply(inv, alpha1))
 
 
-@given(small, small)
-def test_levi_restriction_formulas(m1, m2):
-    lam = HighestWeight(m1, m2)
-    expected = {
-        (1, "e"): (m2, -2 * m1 - m2),
-        (1, "s1"): (m1 + m2 + 1, m1 - m2 + 3),
-        (1, "s1s2"): (m1, m1 + 2 * m2 + 6),
-        (2, "e"): (m1, m1 + 2 * m2),
-        (2, "s2"): (m1 + m2 + 1, m1 - m2 - 3),
-        (2, "s2s1"): (m2, -2 * m1 - m2 - 6),
-    }
-    for (levi, name), (a, n) in expected.items():
-        r = restrict_to_levi(weyl_element(name), lam, levi)
-        assert (r.a, r.n) == (a, n)
-        assert (r.a - r.n) % 2 == 0
-        assert r.a >= 0
-
-
 def _solve3(cols, rhs):
     """Solve the 3x3 system with the given columns, over Fraction."""
 
@@ -208,6 +191,9 @@ def test_levi_restriction_rejects_bad_input():
 def test_parabolic_data():
     assert len(P0.nilradical_roots()) == 3
     assert len(P1.nilradical_roots()) == 2
+    # an unknown tag is refused when the parabolic is made
+    with pytest.raises(ValueError, match="unknown parabolic"):
+        Parabolic("P7")
 
 
 # test-only copies of the EpsilonWeight route that the dot action and

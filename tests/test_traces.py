@@ -104,15 +104,6 @@ def test_grouped_trace_matches_direct_character(k, m3):
             assert gt_trace(m1, m2, m3, k) == direct
 
 
-def test_three_routes_agree_on_a_grid():
-    for k in TRACE_ORDERS:
-        for m1 in range(13):
-            for m2 in range(13):
-                value = gt_trace(m1, m2, 0, k)
-                assert value == closed_trace(m1, m2, 0, k)
-                assert value == weyl_det_trace(m1, m2, k)
-
-
 @given(
     st.integers(min_value=0, max_value=40),
     st.integers(min_value=0, max_value=40),
