@@ -127,10 +127,26 @@ def test_non_int_arguments_raise_type_error(call):
         call()
 
 
+def _flagged(check, m):
+    """The registry's failures of one GL2 comparison at Sym^m."""
+    return [f for f in checks.gl2_at(m) if f["check"] == check]
+
+
 @given(st.integers(min_value=0, max_value=400))
-def test_gl2_family_holds(m):
-    # the registry's comparison: wall sums, SL2 splitting, dim H^1
-    assert list(checks.gl2_at(m)) == []
+def test_wall_sum_equals_closed_form(m):
+    # both determinant twists
+    assert _flagged("gl2_euler_wall_vs_closed", m) == []
+
+
+@given(st.integers(min_value=0, max_value=400))
+def test_sl2_splits_over_the_two_twists(m):
+    assert _flagged("sl2_additivity", m) == []
+
+
+@given(st.integers(min_value=1, max_value=200))
+def test_h1_dimension_from_euler(half_m):
+    # H^0 and H^2 vanish for m > 0, so dim H^1 = -chi = dim S_{m+2}
+    assert _flagged("gl2_h1_dimension", 2 * half_m) == []
 
 
 def test_gl2_weight_validation():

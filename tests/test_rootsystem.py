@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sl3coh import checks
 from sl3coh.rootsystem import (
     E,
     EpsilonWeight,
@@ -134,6 +135,15 @@ def test_kostant_criterion_via_levi_root():
         inv = _inverse(w)
         assert (w in kostant_set(P1)) == positive(apply(inv, alpha2))
         assert (w in kostant_set(P2)) == positive(apply(inv, alpha1))
+
+
+@given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
+def test_levi_restriction_formulas(m1, m2):
+    # the registry's table of (a, n) per Kostant representative, and the
+    # survivors' parity
+    failures = checks.survivors_at(HighestWeight(m1, m2))
+    levi = {"levi_weight", "survivor_parity"}
+    assert [f for f in failures if f["check"] in levi] == []
 
 
 def _solve3(cols, rhs):
