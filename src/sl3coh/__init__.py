@@ -1,9 +1,8 @@
 """Boundary and Eisenstein cohomology of SL3(Z) and GL3(Z), exactly.
 
-Everything is computed in exact arithmetic (integers, fractions, and the
-small cyclotomic rings Z[zeta_k] for k | 6 or k | 4), and every headline
-quantity has at least two independent computation routes that the test
-suite and the verify subcommand pin against each other.
+Everything is computed in exact arithmetic (integers and fractions), and
+every headline quantity has at least two independent computation routes
+that the test suite and the verify subcommand pin against each other.
 """
 
 __version__ = "0.1.0"
@@ -51,7 +50,6 @@ from .parity import (
     survivor_sets,
 )
 from .rootsystem import (
-    EpsilonWeight,
     HighestWeight,
     LeviWeight,
     Parabolic,
@@ -62,14 +60,11 @@ from .rootsystem import (
     P2,
     kostant_set,
     restrict_to_levi,
-    weyl_element,
 )
 from .traces import (
-    CyclotomicInt,
     TorsionClass,
     SL3_TORSION_CLASSES,
     closed_trace,
-    gt_character,
     gt_trace,
     weyl_det_trace,
 )

@@ -177,9 +177,8 @@ def e1_page(lam: HighestWeight) -> E1Page:
             if r.a == 0:
                 col0.setdefault(w.length, []).append(E1Term(tag, w.name, 0, _ONE_LINE))
                 continue
-            split = h1_split(GL2Weight(r.a, r.n))
             summands = [cusp(r.a + 2)]
-            if split["eisenstein_dim"]:
+            if h1_split(GL2Weight(r.a, r.n)):
                 summands.append(trivial_line())
             col0.setdefault(w.length + 1, []).append(
                 E1Term(tag, w.name, 1, tuple(summands))

@@ -17,11 +17,6 @@ from functools import lru_cache
 
 from .errors import CrossCheckError
 
-# branch labels for where H^1 of the GL2 locally symmetric space sits
-INTERIOR_BRANCH = "H1 = H1_!"
-COMPACT_BRANCH = "H1_c = H1_!"
-
-
 @dataclass(frozen=True)
 class GL2Weight:
     """A weight V_{a,n} = Sym^a tensor det^((n-a)/2) of GL2."""
@@ -128,24 +123,17 @@ def gl2_euler_wall(m: int, det_twist: int) -> int:
     return int(total)
 
 
-def h1_split(w: GL2Weight) -> dict:
-    """Split H^1 of the GL2(Z) locally symmetric space at V_{a,n}.
+def h1_split(w: GL2Weight) -> int:
+    """Dimension of the Eisenstein part of H^1 of GL2(Z) at V_{a,n}.
 
     Only surviving weights are accepted: n even, and not (a = 0 with n/2
-    odd).  Returns the cuspidal (inner) dimension, the Eisenstein dimension,
-    and which exactness branch holds: interior cohomology equals full
-    cohomology when a/2 = n/2 mod 2, else it equals compactly supported
-    cohomology and one Eisenstein line appears (for a > 0).
+    odd).  Interior cohomology equals full cohomology when a/2 = n/2 mod 2;
+    otherwise it equals compactly supported cohomology, and one Eisenstein
+    line appears for a > 0.  The cuspidal part is dim S_{a+2} either way.
     """
     if w.n % 2 != 0:
         raise ValueError(f"V_({w.a},{w.n}) does not survive: n is odd")
     if w.a == 0 and (w.n // 2) % 2 != 0:
         raise ValueError(f"V_({w.a},{w.n}) does not survive: a = 0 with n/2 odd")
     interior = (w.a // 2 - w.n // 2) % 2 == 0
-    inner = 0 if w.a == 0 else dim_cusp_forms(w.a + 2)
-    eis = 0 if (w.a == 0 or interior) else 1
-    return {
-        "inner_dim": inner,
-        "eisenstein_dim": eis,
-        "boundary_context": INTERIOR_BRANCH if interior else COMPACT_BRANCH,
-    }
+    return 0 if (w.a == 0 or interior) else 1

@@ -14,26 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class EpsilonWeight:
-    """A weight in epsilon coordinates."""
-
-    c1: int
-    c2: int
-    c3: int
-
-    def coords(self) -> tuple[int, int, int]:
-        return (self.c1, self.c2, self.c3)
-
-    def fundamental(self) -> tuple[int, int]:
-        """Coordinates in the fundamental-weight basis (mod the center)."""
-        return (self.c1 - self.c2, self.c2 - self.c3)
-
-    def normalized(self) -> "EpsilonWeight":
-        """The representative with c3 = 0 of the class mod (1, 1, 1)."""
-        return EpsilonWeight(self.c1 - self.c3, self.c2 - self.c3, 0)
-
-
 def check_weight(m1: int, m2: int, m3: int = 0) -> None:
     """Reject a weight that is not dominant or has a coordinate not an int."""
     # exact types: bool and float would pass for ints in the arithmetic
@@ -59,10 +39,6 @@ class HighestWeight:
 
     def __post_init__(self) -> None:
         check_weight(self.m1, self.m2, 0 if self.m3 is None else self.m3)
-
-    def epsilon(self) -> EpsilonWeight:
-        m3 = 0 if self.m3 is None else self.m3
-        return EpsilonWeight(self.m1 + self.m2 + m3, self.m2 + m3, m3)
 
     def sl3_part(self) -> "HighestWeight":
         """Forget the determinant power, which no per-weight function reads."""
@@ -113,21 +89,12 @@ S21 = WeylElement("s2s1", (3, 1, 2), (2, 1))
 W0 = WeylElement("s1s2s1", (3, 2, 1), (1, 2, 1))
 
 WEYL_GROUP: tuple[WeylElement, ...] = (E, S1, S2, S12, S21, W0)
-_BY_NAME = {w.name: w for w in WEYL_GROUP}
 
 # roots as epsilon triples
 ALPHA1 = (1, -1, 0)
 ALPHA2 = (0, 1, -1)
 ALPHA12 = (1, 0, -1)
 POSITIVE_ROOTS: tuple[tuple[int, int, int], ...] = (ALPHA1, ALPHA2, ALPHA12)
-
-
-def weyl_element(name: str) -> WeylElement:
-    """Look up a Weyl element by its name, e.g. "s1s2"."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise ValueError(f"unknown Weyl element {name!r}") from None
 
 
 # the roots of the nilradical of each standard parabolic

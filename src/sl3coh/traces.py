@@ -7,7 +7,8 @@ highest weight (m1, m2, m3):
 * gt_trace: the triple sum over the integral basis of the module, each
   basis vector contributing zeta_k^(2q - p1 - p2).  The basis is counted
   per residue class of the exponent by closed sums over arithmetic
-  progressions, accumulated in Z[zeta_k]; O(k^2) per call.
+  progressions, and the trace is sum_e count_e zeta_k^e, a rational
+  integer; O(k^2) per call.
 * closed_trace: periodicity tables in (m1 mod k, m2 mod k), plus the
   symbolic k = 2 form; O(1) per call.
 * weyl_det_trace: a 2x2 determinant in complete homogeneous symmetric sums
@@ -32,15 +33,9 @@ from operator import mul
 
 from .rootsystem import check_weight
 
-# Euler phi for the orders with integer or quadratic cyclotomic rings
-_PHI = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2}
-
-# x^2 reduced mod the cyclotomic polynomial, as (const, linear) coefficients
-_X_SQUARED = {3: (-1, -1), 4: (-1, 0), 6: (-1, 1)}
-
-# zeta_k^e for e = 0..k-1, as coefficient tuples
+# zeta_k^e for e = 0..k-1, as (constant, coefficient of zeta_k) tuples;
+# k = 2 needs no zeta_k coefficient
 _ZETA_POWERS = {
-    1: ((1,),),
     2: ((1,), (-1,)),
     3: ((1, 0), (0, 1), (-1, -1)),
     4: ((1, 0), (0, 1), (-1, 0), (0, -1)),
@@ -50,100 +45,6 @@ _ZETA_POWERS = {
 # the same, by coefficient: _ZETA_COLUMNS[k][i][e] is coefficient i of
 # zeta_k^e
 _ZETA_COLUMNS = {k: tuple(zip(*powers)) for k, powers in _ZETA_POWERS.items()}
-
-
-@dataclass(frozen=True)
-class CyclotomicInt:
-    """An element of Z[zeta_k] for k in {1, 2, 3, 4, 6}.
-
-    coefficients has length phi(k): the constant term, then the coefficient
-    of zeta_k.
-    """
-
-    order: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if type(self.order) is not int:
-            raise TypeError(f"order must be an int, got {self.order!r}")
-        if self.order not in _PHI:
-            raise ValueError(f"order must be one of 1, 2, 3, 4, 6, got {self.order!r}")
-        if len(self.coefficients) != _PHI[self.order]:
-            raise ValueError(
-                f"order {self.order} needs {_PHI[self.order]} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
-
-    @classmethod
-    def zero(cls, order: int) -> "CyclotomicInt":
-        return cls(order, (0,) * _PHI[order])
-
-    @classmethod
-    def integer(cls, order: int, value: int) -> "CyclotomicInt":
-        return cls(order, (value,) + (0,) * (_PHI[order] - 1))
-
-    @classmethod
-    def zeta_power(cls, order: int, e: int) -> "CyclotomicInt":
-        return cls(order, _ZETA_POWERS[order][e % order])
-
-    def _check(self, other: "CyclotomicInt") -> None:
-        if self.order != other.order:
-            raise ValueError(f"mixed orders {self.order} and {other.order}")
-
-    def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        return CyclotomicInt(
-            self.order,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
-    def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        return CyclotomicInt(
-            self.order,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
-    def __neg__(self) -> "CyclotomicInt":
-        return CyclotomicInt(self.order, tuple(-a for a in self.coefficients))
-
-    def scale(self, c: int) -> "CyclotomicInt":
-        return CyclotomicInt(self.order, tuple(c * a for a in self.coefficients))
-
-    def __mul__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        if _PHI[self.order] == 1:
-            return CyclotomicInt(
-                self.order, (self.coefficients[0] * other.coefficients[0],)
-            )
-        a0, a1 = self.coefficients
-        b0, b1 = other.coefficients
-        sq0, sq1 = _X_SQUARED[self.order]
-        c0 = a0 * b0
-        c1 = a0 * b1 + a1 * b0
-        c2 = a1 * b1
-        return CyclotomicInt(self.order, (c0 + c2 * sq0, c1 + c2 * sq1))
-
-    def power(self, e: int) -> "CyclotomicInt":
-        if e < 0:
-            raise ValueError(f"exponent must be >= 0, got {e}")
-        out = CyclotomicInt.integer(self.order, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def is_integer(self) -> bool:
-        return all(c == 0 for c in self.coefficients[1:])
-
-    def to_int(self) -> int:
-        """The value as a rational integer; fails if it is not one."""
-        if not self.is_integer():
-            raise ValueError(f"{self} is not a rational integer")
-        return self.coefficients[0]
 
 
 @dataclass(frozen=True)
@@ -264,45 +165,6 @@ def _gt_counts(m1: int, m2: int, m3: int, k: int) -> list[int]:
         for e, count in runs:
             counts[e] += count * x + y
     return counts
-
-
-def _power(t: CyclotomicInt, e: int) -> CyclotomicInt:
-    """t^e for any integer e; e < 0 needs t to be a root of unity."""
-    if e >= 0:
-        return t.power(e)
-    # the roots of unity of Z[zeta_k], k | 4 or k | 6, have order dividing 12
-    if t.power(12) != CyclotomicInt.integer(t.order, 1):
-        raise ValueError(f"negative exponent {e} needs a root of unity, got {t}")
-    return t.power(e % 12)
-
-
-def gt_character(
-    m1: int,
-    m2: int,
-    m3: int,
-    t1: CyclotomicInt,
-    t2: CyclotomicInt,
-    t3: CyclotomicInt,
-) -> CyclotomicInt:
-    """Character value at diag(t1, t2, t3) by direct basis enumeration.
-
-    Each basis vector of the (m1, m2, m3) module has weight
-    (q, p1 + p2 - q, m1 + 2 m2 + 3 m3 - p1 - p2).  Cubic in the weight, so
-    only for small m; the grouped gt_trace is the production route.  For
-    m3 < 0 some exponents are negative, so t1, t2, t3 must then be roots
-    of unity.
-    """
-    check_weight(m1, m2, m3)
-    lam_sum = m1 + 2 * m2 + 3 * m3
-    # every exponent below lies in [m3, m1 + m2 + m3]
-    exponents = range(m3, m1 + m2 + m3 + 1)
-    pow1, pow2, pow3 = ({e: _power(t, e) for e in exponents} for t in (t1, t2, t3))
-    total = CyclotomicInt.zero(t1.order)
-    for p1 in range(m2 + m3, m1 + m2 + m3 + 1):
-        for p2 in range(m3, m2 + m3 + 1):
-            for q in range(p2, p1 + 1):
-                total = total + pow1[q] * pow2[p1 + p2 - q] * pow3[lam_sum - p1 - p2]
-    return total
 
 
 # trace periodicity tables, indexed [m1 mod k][m2 mod k]

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -342,6 +343,14 @@ def _cusp_dimension_fault(monkeypatch):
     monkeypatch.setattr(checks, "dim_cusp_forms", lambda k: clean(k) + (k == 6))
 
 
+def _zeta_table_fault(monkeypatch):
+    # zeta_6^3 read as +1 instead of -1: the zeta_6 column is untouched, so
+    # every order-6 trace stays an integer, only a wrong one
+    powers = list(traces._ZETA_POWERS[6])
+    powers[3] = (1, 0)
+    monkeypatch.setitem(traces._ZETA_COLUMNS, 6, tuple(zip(*powers)))
+
+
 def _gt_m3_fault(monkeypatch):
     _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: (m3, k) == (1, 3))
 
@@ -419,6 +428,7 @@ def _by_family(report):
         (_gl2_euler_fault, "gl2_routes", "gl2_euler_wall_vs_closed", False),
         (_sl2_euler_fault, "gl2_routes", "sl2_additivity", False),
         (_cusp_dimension_fault, "gl2_routes", "gl2_h1_dimension", False),
+        (_zeta_table_fault, "trace_routes", "gt_trace_vs_closed_trace", False),
         (_gt_m3_fault, "trace_routes", "gt_trace_m3_independence", False),
         (_survivor_parity_fault, "survivors", "survivor_parity", False),
         (_ghost_rule_fault, "ghosts", "ghost_support", False),
@@ -440,6 +450,7 @@ def _by_family(report):
         "gl2_euler",
         "sl2_euler",
         "cusp_dimension",
+        "zeta_table",
         "gt_m3",
         "survivor_parity",
         "ghost_rule",
@@ -448,14 +459,14 @@ def _by_family(report):
     ],
 )
 def test_each_family_fails_when_its_route_is_corrupted(
-    monkeypatch, cold_boundary_caches, fault, family, check, spot
+    monkeypatch, cold_boundary_caches, cold_h_row, fault, family, check, spot
 ):
     fault(monkeypatch)
     report = run_all(max_weight=6)
     assert not report["ok"]
     records = _by_family(report)
     names = {f["check"] for f in records[family]}
-    assert check in names or f"{family}_raised" in names
+    assert check in names
     # spot checks run the euler, boundary and identity comparisons
     spots = records["random_spots"]
     assert all(
@@ -470,21 +481,44 @@ def _gt_zeta_fault(monkeypatch):
     _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: (m1, m2, k) == (2, 2, 3), 1)
 
 
+def _gl2_class_weight_fault(monkeypatch):
+    # the order-4 class of GL2(Z) weighted 1/2 instead of 1/4; its weight
+    # is an inline literal, so the fault goes through gl2's Fraction
+    def corrupted(numerator, denominator=1):
+        if (numerator, denominator) == (1, 4):
+            return Fraction(1, 2)
+        return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(gl2, "Fraction", corrupted)
+
+
+def test_gl2_torsion_sum_outside_the_integers_raises(monkeypatch):
+    _gl2_class_weight_fault(monkeypatch)
+    with pytest.raises(CrossCheckError) as err:
+        gl2.gl2_euler_wall(0, 0)
+    assert str(err.value) == "GL2 torsion sum at m=0, det_twist=0 is 5/4"
+
+
 @pytest.mark.parametrize(
     "fault, family, detail",
     [
         (
             lambda mp: _torsion_class_fault(mp, extra=1),
             "euler_routes",
-            "CrossCheckError: torsion sum at HighestWeight(m1=0, m2=0, m3=None)",
+            "CrossCheckError: torsion sum at HighestWeight(m1=0, m2=0, m3=None) "
+            "is 5/4, not an integer",
         ),
-        (_gt_zeta_fault, "trace_routes", "ValueError: 0 + 1 zeta_3"),
+        (_gt_zeta_fault, "trace_routes", "ValueError: 0 + 1 zeta_3 is not an integer"),
+        (
+            _gl2_class_weight_fault,
+            "gl2_routes",
+            "CrossCheckError: GL2 torsion sum at m=0, det_twist=0 is 5/4",
+        ),
     ],
-    ids=["torsion_sum", "zeta_sum"],
+    ids=["torsion_sum", "zeta_sum", "gl2_torsion_sum"],
 )
 def test_a_sum_outside_the_integers_is_recorded(monkeypatch, fault, family, detail):
     fault(monkeypatch)
     records = _by_family(run_all(max_weight=6))[family]
     assert [f["check"] for f in records] == [f"{family}_raised"]
-    assert records[0]["detail"].startswith(detail)
-    assert records[0]["detail"].endswith("not an integer")
+    assert records[0]["detail"] == detail

@@ -298,24 +298,53 @@ def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path):
     assert not target.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
+USAGE_ERRORS = [
+    (
         ["cohomology", "--group", "sl3", "--m1", "-1", "--m2", "0"],
+        "sl3coh cohomology: error: argument --m1: must be >= 0: -1",
+    ),
+    (
         ["cohomology", "--group", "sl3", "--m1", "0", "--m2", "0", "--m3", "0"],
+        "sl3coh: error: --m3 only applies to --group gl3",
+    ),
+    (
         ["cohomology", "--group", "gl3", "--m1", "0", "--m2", "0"],
+        "sl3coh: error: --group gl3 needs --m3",
+    ),
+    (
         ["euler-table", "--symbolic", "--m1-max", "4"],
+        "sl3coh: error: --symbolic excludes --m1-max/--m2-max",
+    ),
+    (
         ["euler-table"],
+        "sl3coh: error: need either --symbolic or both --m1-max and --m2-max",
+    ),
+    (
         ["euler-table", "--m1-max", "4"],
+        "sl3coh: error: need either --symbolic or both --m1-max and --m2-max",
+    ),
+    (
         ["verify", "--max", "-2"],
+        "sl3coh verify: error: argument --max: must be >= 0: -2",
+    ),
+    (
         ["cohomology", "--group", "sl3", "--m1", "x", "--m2", "0"],
-    ],
+        "sl3coh cohomology: error: argument --m1: not an integer: 'x'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    USAGE_ERRORS,
+    ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))],
 )
-def test_usage_errors_exit_two(argv, capsys):
+def test_usage_errors_exit_two(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert "error" in capsys.readouterr().err
+    # the usage line, then the message that names the guard that fired
+    assert capsys.readouterr().err.splitlines()[-1] == message
 
 
 def test_consecutive_calls_in_one_process(capsys):

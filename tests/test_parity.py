@@ -9,7 +9,7 @@ from sl3coh.parity import (
     minimal_parabolic_survives,
     survivor_sets,
 )
-from sl3coh.rootsystem import HighestWeight, WEYL_GROUP, weyl_element
+from sl3coh.rootsystem import E, S1, S12, HighestWeight, WEYL_GROUP
 
 small = st.integers(min_value=0, max_value=30)
 
@@ -40,20 +40,18 @@ def test_survivor_sets_by_case(case):
 
 def test_minimal_survivor_is_parity_of_coordinates():
     lam = HighestWeight(0, 0)
-    assert minimal_parabolic_survives(weyl_element("e"), lam)
+    assert minimal_parabolic_survives(E, lam)
     # s1 . (0,0) = (-2, 1): second coordinate odd
-    assert not minimal_parabolic_survives(weyl_element("s1"), lam)
+    assert not minimal_parabolic_survives(S1, lam)
 
 
 def test_maximal_survivor_examples():
     # (a, n) = (1, 3) for w = s1 at the trivial weight: n odd, killed
-    assert not maximal_parabolic_survives(weyl_element("s1"), HighestWeight(0, 0), 1)
+    assert not maximal_parabolic_survives(S1, HighestWeight(0, 0), 1)
     # (a, n) = (0, 6) for w = s1s2 at the trivial weight: n/2 odd, killed
-    assert not maximal_parabolic_survives(
-        weyl_element("s1s2"), HighestWeight(0, 0), 1
-    )
+    assert not maximal_parabolic_survives(S12, HighestWeight(0, 0), 1)
     # (a, n) = (0, 0) for w = e: survives
-    assert maximal_parabolic_survives(weyl_element("e"), HighestWeight(0, 0), 1)
+    assert maximal_parabolic_survives(E, HighestWeight(0, 0), 1)
 
 
 @given(small, small)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from sl3coh import checks
 from sl3coh.rootsystem import (
     E,
-    EpsilonWeight,
     HighestWeight,
     P0,
     P1,
@@ -21,7 +20,6 @@ from sl3coh.rootsystem import (
     WEYL_GROUP,
     kostant_set,
     restrict_to_levi,
-    weyl_element,
 )
 
 small = st.integers(min_value=0, max_value=20)
@@ -41,10 +39,20 @@ def _inverse(w):
     return _BY_PERM[tuple(inv)]
 
 
+def _normalized(c):
+    """The representative with c3 = 0 of the class of c mod (1, 1, 1)."""
+    return (c[0] - c[2], c[1] - c[2], 0)
+
+
+def _fundamental(c):
+    """Fundamental coordinates of the epsilon triple c (mod the center)."""
+    return (c[0] - c[1], c[1] - c[2])
+
+
 def _dot_action(w, lam):
-    """w . lam as an EpsilonWeight, normalized to c3 = 0 for SL3 weights."""
-    moved = EpsilonWeight(*w.dot(lam))
-    return moved.normalized() if lam.m3 is None else moved
+    """w . lam as an epsilon triple, normalized to c3 = 0 for SL3 weights."""
+    moved = w.dot(lam)
+    return _normalized(moved) if lam.m3 is None else moved
 
 
 def test_weyl_group_table():
@@ -65,12 +73,6 @@ def test_weyl_products_and_inverses():
         assert w.length + _times(_inverse(w), W0).length == 3
 
 
-def test_weyl_element_lookup():
-    assert weyl_element("s1s2") is S12
-    with pytest.raises(ValueError):
-        weyl_element("s3")
-
-
 @given(small, small)
 def test_dot_action_in_fundamental_coordinates(m1, m2):
     lam = HighestWeight(m1, m2)
@@ -83,21 +85,21 @@ def test_dot_action_in_fundamental_coordinates(m1, m2):
         "s1s2s1": (-m2 - 2, -m1 - 2),
     }
     for w in WEYL_GROUP:
-        assert _dot_action(w, lam).fundamental() == expected[w.name]
+        assert _fundamental(_dot_action(w, lam)) == expected[w.name]
 
 
 def test_dot_action_normalizes_sl3():
     # an SL3 weight acts as m3 = 0; only its class mod (1, 1, 1) is normalized
     assert W0.dot(HighestWeight(0, 0)) == W0.dot(HighestWeight(0, 0, 0)) == (-2, 0, 2)
-    assert _dot_action(W0, HighestWeight(0, 0)) == EpsilonWeight(-4, -2, 0)
+    assert _dot_action(W0, HighestWeight(0, 0)) == (-4, -2, 0)
 
 
 def test_epsilon_coordinates():
-    assert HighestWeight(2, 3).epsilon() == EpsilonWeight(5, 3, 0)
-    assert HighestWeight(1, 1, 1).epsilon() == EpsilonWeight(3, 2, 1)
-    assert EpsilonWeight(5, 3, 0).fundamental() == (2, 3)
-    assert EpsilonWeight(7, 5, 2).fundamental() == (2, 3)
-    assert EpsilonWeight(7, 5, 2).normalized() == EpsilonWeight(5, 3, 0)
+    # the identity's dot action is the weight itself, as an epsilon triple
+    assert E.dot(HighestWeight(2, 3)) == (5, 3, 0)
+    assert E.dot(HighestWeight(1, 1, 1)) == (3, 2, 1)
+    assert _fundamental((5, 3, 0)) == _fundamental((7, 5, 2)) == (2, 3)
+    assert _normalized((7, 5, 2)) == (5, 3, 0)
     assert HighestWeight(2, 3).dual() == HighestWeight(3, 2)
 
 
@@ -206,24 +208,29 @@ def test_parabolic_data():
         Parabolic("P7")
 
 
-# test-only copies of the EpsilonWeight route that the dot action and
+# test-only copies of the epsilon-coordinate route that the dot action and
 # restrict_to_levi took before their integer form
+def _epsilon(lam):
+    m3 = lam.m3 or 0
+    return (lam.m1 + lam.m2 + m3, lam.m2 + m3, m3)
+
+
 def _epsilon_apply(w, eps):
     out = [0, 0, 0]
-    for i, c in enumerate(eps.coords()):
+    for i, c in enumerate(eps):
         out[w.perm[i] - 1] = c
-    return EpsilonWeight(*out)
+    return tuple(out)
 
 
 def _epsilon_dot_action(w, lam):
-    eps = lam.epsilon()
-    moved = _epsilon_apply(w, EpsilonWeight(eps.c1 + 1, eps.c2, eps.c3 - 1))
-    result = EpsilonWeight(moved.c1 - 1, moved.c2, moved.c3 + 1)
-    return result.normalized() if lam.m3 is None else result
+    c1, c2, c3 = _epsilon(lam)
+    d1, d2, d3 = _epsilon_apply(w, (c1 + 1, c2, c3 - 1))
+    result = (d1 - 1, d2, d3 + 1)
+    return _normalized(result) if lam.m3 is None else result
 
 
 def _epsilon_levi_weight(w, lam, levi):
-    c1, c2, c3 = _epsilon_dot_action(w, lam).coords()
+    c1, c2, c3 = _epsilon_dot_action(w, lam)
     if levi == 1:
         return c2 - c3, c2 + c3 - 2 * c1
     return c1 - c2, c1 + c2 - 2 * c3
