@@ -51,7 +51,6 @@ from .parity import (
 )
 from .rootsystem import (
     HighestWeight,
-    LeviWeight,
     Parabolic,
     WeylElement,
     WEYL_GROUP,

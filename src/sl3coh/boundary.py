@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CrossCheckError
-from .gl2 import GL2Weight, dim_cusp_forms, h1_split
+from .gl2 import dim_cusp_forms, h1_split
 from .parity import case_classifier, survivor_sets
 from .rootsystem import HighestWeight, restrict_to_levi
 
@@ -158,6 +158,8 @@ class E1Page:
     col1: tuple[tuple[int, tuple[E1Term, ...]], ...]
 
     def column(self, p: int) -> dict:
+        if type(p) is not int:
+            raise TypeError(f"column must be an int, got {p!r}")
         if p not in (0, 1):
             raise ValueError(f"columns are 0 and 1, got {p}")
         return dict(self.col0 if p == 0 else self.col1)
@@ -178,7 +180,7 @@ def e1_page(lam: HighestWeight) -> E1Page:
                 col0.setdefault(w.length, []).append(E1Term(tag, w.name, 0, _ONE_LINE))
                 continue
             summands = [cusp(r.a + 2)]
-            if h1_split(GL2Weight(r.a, r.n)):
+            if h1_split(r):
                 summands.append(trivial_line())
             col0.setdefault(w.length + 1, []).append(
                 E1Term(tag, w.name, 1, tuple(summands))
@@ -218,9 +220,7 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     page = e1_page(lam)
     col0 = page.column(0)
     col1 = page.column(1)
-    by_degree: dict[int, list[CohomologySummand]] = {}
-    # E2 column-1 lines, by the total degree q + 1 they land in
-    cokernel: dict[int, int] = {}
+    by_degree: dict[int, list[CohomologySummand]] = {q: [] for q in range(5)}
     for q in range(4):
         rank = d1_rank(lam, col0, col1, q)
         terms = col0.get(q, ())
@@ -228,13 +228,13 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
         lines = sum(t.trivial_lines() for t in terms) - rank
         if lines < 0:
             raise CrossCheckError(f"rank 1 with no line to map at {lam}, q={q}")
-        by_degree[q] = [s for t in terms for s in t.summands if s.kind != TRIVIAL]
+        by_degree[q] += [s for t in terms for s in t.summands if s.kind != TRIVIAL]
         if lines:
             by_degree[q].append(trivial_line(lines))
-        cokernel[q + 1] = len(col1.get(q, ())) - rank
-    for q, lines in cokernel.items():
-        if lines:
-            by_degree.setdefault(q, []).append(trivial_line(lines))
+        # the column-1 lines d1 misses, in total degree q + 1
+        missed = len(col1.get(q, ())) - rank
+        if missed:
+            by_degree[q + 1].append(trivial_line(missed))
     profile = GradedProfile.build(by_degree)
     if cross_check:
         expected = case_profile(lam)

@@ -123,17 +123,24 @@ def gl2_euler_wall(m: int, det_twist: int) -> int:
     return int(total)
 
 
+def survives(w: GL2Weight) -> bool:
+    """True iff a maximal-parabolic face with Levi weight V_{a,n} survives.
+
+    The central -1 kills the face unless n is even; for a = 0 the orientation
+    of the symmetric space adds a sign, so n/2 must be even too.
+    """
+    return w.n % 2 == 0 and (w.a != 0 or (w.n // 2) % 2 == 0)
+
+
 def h1_split(w: GL2Weight) -> int:
     """Dimension of the Eisenstein part of H^1 of GL2(Z) at V_{a,n}.
 
-    Only surviving weights are accepted: n even, and not (a = 0 with n/2
-    odd).  Interior cohomology equals full cohomology when a/2 = n/2 mod 2;
-    otherwise it equals compactly supported cohomology, and one Eisenstein
-    line appears for a > 0.  The cuspidal part is dim S_{a+2} either way.
+    Only weights that pass survives are accepted.  Interior cohomology equals
+    full cohomology when a/2 = n/2 mod 2; otherwise it equals compactly
+    supported cohomology, and one Eisenstein line appears for a > 0.  The
+    cuspidal part is dim S_{a+2} either way.
     """
-    if w.n % 2 != 0:
-        raise ValueError(f"V_({w.a},{w.n}) does not survive: n is odd")
-    if w.a == 0 and (w.n // 2) % 2 != 0:
-        raise ValueError(f"V_({w.a},{w.n}) does not survive: a = 0 with n/2 odd")
+    if not survives(w):
+        raise ValueError(f"V_({w.a},{w.n}) does not survive")
     interior = (w.a // 2 - w.n // 2) % 2 == 0
     return 0 if (w.a == 0 or interior) else 1

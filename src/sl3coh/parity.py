@@ -3,15 +3,15 @@
 The -1 in the arithmetic group kills a boundary contribution unless the
 coefficient weight is invariant, which is a pure parity condition on the
 dot-translated weight.  For the minimal parabolic both fundamental
-coordinates of w . lam must be even; for a maximal parabolic the Levi
-weight (a, n) must have n even, and additionally the orientation module
-rules out a = 0 with n/2 odd.
+coordinates of w . lam must be even; for a maximal parabolic the rule reads
+only the Levi weight (a, n) and lives in gl2.survives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .gl2 import survives
 from .rootsystem import (
     HighestWeight,
     P0,
@@ -40,17 +40,8 @@ def minimal_parabolic_survives(w: WeylElement, lam: HighestWeight) -> bool:
 
 
 def maximal_parabolic_survives(w: WeylElement, lam: HighestWeight, levi: int) -> bool:
-    """True iff the P_levi face block for w survives.
-
-    Needs n even, and for a = 0 also n/2 even (the one-dimensional case picks
-    up an extra sign from the orientation of the symmetric space).
-    """
-    r = restrict_to_levi(w, lam, levi)
-    if r.n % 2 != 0:
-        return False
-    if r.a == 0 and (r.n // 2) % 2 != 0:
-        return False
-    return True
+    """True iff the P_levi face block for w survives, by its Levi weight."""
+    return survives(restrict_to_levi(w, lam, levi))
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .gl2 import GL2Weight
+
 
 def check_weight(m1: int, m2: int, m3: int = 0) -> None:
     """Reject a weight that is not dominant or has a coordinate not an int."""
@@ -41,7 +43,7 @@ class HighestWeight:
         check_weight(self.m1, self.m2, 0 if self.m3 is None else self.m3)
 
     def sl3_part(self) -> "HighestWeight":
-        """Forget the determinant power, which no per-weight function reads."""
+        """Forget the determinant power, on which no per-weight answer depends."""
         return self if self.m3 is None else HighestWeight(self.m1, self.m2)
 
     def dual(self) -> "HighestWeight":
@@ -120,26 +122,6 @@ P1 = Parabolic("P1")
 P2 = Parabolic("P2")
 
 
-@dataclass(frozen=True)
-class LeviWeight:
-    """Restriction of a weight to a maximal Levi GL2 x GL1.
-
-    a is the coordinate along the Levi's SL2 direction, n the coordinate
-    along its center; V_{a,n} = Sym^a tensored with det^((n-a)/2) on the GL2
-    factor.  Weights coming from the dot action always satisfy a = n mod 2.
-    """
-
-    a: int
-    n: int
-
-
-def _apply_to_root(w: WeylElement, root: tuple[int, int, int]) -> tuple[int, int, int]:
-    out = [0, 0, 0]
-    for i, c in enumerate(root):
-        out[w.perm[i] - 1] = c
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def kostant_set(p: Parabolic) -> tuple[WeylElement, ...]:
     """Minimal-length coset representatives for the parabolic p.
@@ -147,17 +129,14 @@ def kostant_set(p: Parabolic) -> tuple[WeylElement, ...]:
     w qualifies iff every negative root sent to a positive root lands in the
     nilradical of p.
     """
+    if not isinstance(p, Parabolic):
+        raise TypeError(f"p must be a Parabolic, got {p!r}")
     nil = set(p.nilradical_roots())
-    pos = set(POSITIVE_ROOTS)
     out = []
     for w in WEYL_GROUP:
-        flipped = set()
-        for root in POSITIVE_ROOTS:
-            neg = (-root[0], -root[1], -root[2])
-            image = _apply_to_root(w, neg)
-            if image in pos:
-                flipped.add(image)
-        if flipped <= nil:
+        # w applied to each negative root, through the index map dot uses
+        images = {tuple(-root[i] for i in w.source) for root in POSITIVE_ROOTS}
+        if images.intersection(POSITIVE_ROOTS) <= nil:
             out.append(w)
     out.sort(key=lambda w: (w.length, w.name))
     return tuple(out)
@@ -167,14 +146,17 @@ def kostant_set(p: Parabolic) -> tuple[WeylElement, ...]:
 _LEVI_KOSTANT = {1: kostant_set(P1), 2: kostant_set(P2)}
 
 
-def restrict_to_levi(w: WeylElement, lam: HighestWeight, levi: int) -> LeviWeight:
-    """The (a, n) coordinates of w . lam on the Levi of P1 or P2.
+def restrict_to_levi(w: WeylElement, lam: HighestWeight, levi: int) -> GL2Weight:
+    """The weight V_{a,n} of w . lam on the Levi GL2 of P1 or P2.
 
-    Only defined for w in the Kostant set of the parabolic.  The (a, n)
-    coordinates depend only on the class of w . lam mod (1, 1, 1):
+    a is the coordinate along the Levi's SL2 direction, n the one along its
+    center.  Only defined for w in the Kostant set of the parabolic.  The
+    (a, n) coordinates depend only on the class of w . lam mod (1, 1, 1):
     levi 1 reads (c2 - c3, c2 + c3 - 2 c1), levi 2 reads
     (c1 - c2, c1 + c2 - 2 c3).
     """
+    if not isinstance(w, WeylElement):
+        raise TypeError(f"w must be a WeylElement, got {w!r}")
     if type(levi) is not int:
         raise TypeError(f"levi must be an int, got {levi!r}")
     if levi not in (1, 2):
@@ -183,5 +165,5 @@ def restrict_to_levi(w: WeylElement, lam: HighestWeight, levi: int) -> LeviWeigh
         raise ValueError(f"{w.name} is not a Kostant representative for P{levi}")
     c1, c2, c3 = w.dot(lam)
     if levi == 1:
-        return LeviWeight(c2 - c3, c2 + c3 - 2 * c1)
-    return LeviWeight(c1 - c2, c1 + c2 - 2 * c3)
+        return GL2Weight(c2 - c3, c2 + c3 - 2 * c1)
+    return GL2Weight(c1 - c2, c1 + c2 - 2 * c3)

@@ -22,7 +22,7 @@ from sl3coh import (
 from sl3coh.boundary import TRIVIAL, GradedProfile
 from sl3coh.checks import CHECKS, run_all
 from sl3coh.eisenstein import ZERO
-from sl3coh.rootsystem import WeylElement, restrict_to_levi
+from sl3coh.rootsystem import WeylElement
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -356,14 +356,15 @@ def _gt_m3_fault(monkeypatch):
 
 
 def _survivor_parity_fault(monkeypatch):
-    clean = parity.maximal_parabolic_survives
+    # the rule without its "n even" clause
+    _replace_route(
+        monkeypatch, gl2.survives, lambda w: w.a != 0 or (w.n // 2) % 2 == 0
+    )
 
-    def corrupted(w, lam, levi):
-        # the rule without its "n even" condition
-        r = restrict_to_levi(w, lam, levi)
-        return r.a != 0 or (r.n // 2) % 2 == 0
 
-    _replace_route(monkeypatch, clean, corrupted)
+def _survivor_a0_fault(monkeypatch):
+    # the rule without its "a = 0 => n/2 even" clause
+    _replace_route(monkeypatch, gl2.survives, lambda w: w.n % 2 == 0)
 
 
 def _ghost_rule_fault(monkeypatch):
@@ -431,6 +432,12 @@ def _by_family(report):
         (_zeta_table_fault, "trace_routes", "gt_trace_vs_closed_trace", False),
         (_gt_m3_fault, "trace_routes", "gt_trace_m3_independence", False),
         (_survivor_parity_fault, "survivors", "survivor_parity", False),
+        (
+            _survivor_a0_fault,
+            "boundary_assembly",
+            "boundary_profile_vs_case_formula",
+            False,
+        ),
         (_ghost_rule_fault, "ghosts", "ghost_support", False),
         (_kostant_set_fault, "kostant", "kostant_set", False),
         (
@@ -453,6 +460,7 @@ def _by_family(report):
         "zeta_table",
         "gt_m3",
         "survivor_parity",
+        "survivor_a0",
         "ghost_rule",
         "kostant_set",
         "e1_degree",

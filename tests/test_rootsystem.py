@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl3coh import checks
+from sl3coh.parity import maximal_parabolic_survives
 from sl3coh.rootsystem import (
     E,
     HighestWeight,
@@ -198,6 +199,13 @@ def test_levi_restriction_rejects_bad_input():
         restrict_to_levi(S1, lam, 2)
     with pytest.raises(ValueError):
         restrict_to_levi(E, lam, 3)
+    # a name or tag in place of a WeylElement or Parabolic
+    with pytest.raises(TypeError):
+        restrict_to_levi("e", HighestWeight(2, 1), 1)
+    with pytest.raises(TypeError):
+        maximal_parabolic_survives("e", HighestWeight(2, 1), 1)
+    with pytest.raises(TypeError):
+        kostant_set("P1")
 
 
 def test_parabolic_data():
