@@ -43,9 +43,7 @@ from .gl2 import (
     sl2_euler,
 )
 from .parity import (
-    SurvivorSets,
     case_classifier,
-    maximal_parabolic_survives,
     minimal_parabolic_survives,
     survivor_sets,
 )

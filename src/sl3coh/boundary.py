@@ -19,7 +19,7 @@ from functools import lru_cache
 from .errors import CrossCheckError
 from .gl2 import dim_cusp_forms, h1_split
 from .parity import case_classifier, survivor_sets
-from .rootsystem import HighestWeight, restrict_to_levi
+from .rootsystem import P0, P1, P2, HighestWeight, restrict_to_levi
 
 TRIVIAL = "TrivialLine"
 CUSP = "Cusp"
@@ -171,19 +171,19 @@ def e1_page(lam: HighestWeight) -> E1Page:
     sets = survivor_sets(lam)
     col0: dict[int, list[E1Term]] = {}
     col1: dict[int, list[E1Term]] = {}
-    for w in sets.w0:
-        col1.setdefault(w.length, []).append(E1Term("P0", w.name, 0, _ONE_LINE))
-    for levi, tag, wset in ((1, "P1", sets.w1), (2, "P2", sets.w2)):
-        for w in wset:
-            r = restrict_to_levi(w, lam, levi)
+    for w in sets[P0]:
+        col1.setdefault(w.length, []).append(E1Term(P0.tag, w.name, 0, _ONE_LINE))
+    for p in (P1, P2):
+        for w in sets[p]:
+            r = restrict_to_levi(w, lam, p)
             if r.a == 0:
-                col0.setdefault(w.length, []).append(E1Term(tag, w.name, 0, _ONE_LINE))
+                col0.setdefault(w.length, []).append(E1Term(p.tag, w.name, 0, _ONE_LINE))
                 continue
             summands = [cusp(r.a + 2)]
             if h1_split(r):
                 summands.append(trivial_line())
             col0.setdefault(w.length + 1, []).append(
-                E1Term(tag, w.name, 1, tuple(summands))
+                E1Term(p.tag, w.name, 1, tuple(summands))
             )
     if not all(0 <= q <= 3 for q in (*col0, *col1)):
         raise CrossCheckError(

@@ -23,7 +23,7 @@ from .eisenstein import (
 from .euler import sl3_euler_closed, sl3_euler_wall, symbolic_cell
 from .gl2 import dim_cusp_forms, gl2_euler, gl2_euler_wall, sl2_euler
 from .parity import case_classifier, survivor_sets
-from .rootsystem import P1, P2, HighestWeight, kostant_set, restrict_to_levi
+from .rootsystem import P0, P1, P2, HighestWeight, kostant_set, restrict_to_levi
 
 SPOT_COUNT = 25
 
@@ -102,37 +102,37 @@ _SWAP = {"e": "e", "s1": "s2", "s2": "s1", "s1s2": "s2s1", "s2s1": "s1s2",
 # (a, n) of w . (m1, m2) on the Levi of P1 or P2 for each Kostant
 # representative w, transcribed by hand
 _LEVI_AN = {
-    (1, "e"): lambda m1, m2: (m2, -2 * m1 - m2),
-    (1, "s1"): lambda m1, m2: (m1 + m2 + 1, m1 - m2 + 3),
-    (1, "s1s2"): lambda m1, m2: (m1, m1 + 2 * m2 + 6),
-    (2, "e"): lambda m1, m2: (m1, m1 + 2 * m2),
-    (2, "s2"): lambda m1, m2: (m1 + m2 + 1, m1 - m2 - 3),
-    (2, "s2s1"): lambda m1, m2: (m2, -2 * m1 - m2 - 6),
+    ("P1", "e"): lambda m1, m2: (m2, -2 * m1 - m2),
+    ("P1", "s1"): lambda m1, m2: (m1 + m2 + 1, m1 - m2 + 3),
+    ("P1", "s1s2"): lambda m1, m2: (m1, m1 + 2 * m2 + 6),
+    ("P2", "e"): lambda m1, m2: (m1, m1 + 2 * m2),
+    ("P2", "s2"): lambda m1, m2: (m1 + m2 + 1, m1 - m2 - 3),
+    ("P2", "s2s1"): lambda m1, m2: (m2, -2 * m1 - m2 - 6),
 }
 
 
 def survivors_at(lam: HighestWeight) -> Iterator[dict]:
     """Levi weights match the table, survivors' are even; reflection symmetry."""
     sets = survivor_sets(lam)
-    for levi, p, survivors in ((1, P1, sets.w1), (2, P2, sets.w2)):
+    for p in (P1, P2):
         for w in kostant_set(p):
-            r = restrict_to_levi(w, lam, levi)
-            if w in survivors and (r.a < 0 or r.a % 2 != 0 or r.n % 2 != 0):
+            r = restrict_to_levi(w, lam, p)
+            if w in sets[p] and (r.a < 0 or r.a % 2 != 0 or r.n % 2 != 0):
                 yield _fail(
                     "survivor_parity",
-                    _at(lam, levi=levi, w=w.name),
+                    _at(lam, parabolic=p.tag, w=w.name),
                     f"survivor has (a, n) = ({r.a}, {r.n})",
                 )
-            a, n = _LEVI_AN[levi, w.name](lam.m1, lam.m2)
+            a, n = _LEVI_AN[p.tag, w.name](lam.m1, lam.m2)
             if (r.a, r.n) != (a, n):
                 yield _fail(
                     "levi_weight",
-                    _at(lam, levi=levi, w=w.name),
+                    _at(lam, parabolic=p.tag, w=w.name),
                     f"restrict_to_levi gives (a, n) = ({r.a}, {r.n}), "
                     f"table ({a}, {n})",
                 )
     mirror = survivor_sets(lam.dual())
-    pairs = ((sets.w1, mirror.w2), (sets.w2, mirror.w1), (sets.w0, mirror.w0))
+    pairs = ((sets[P1], mirror[P2]), (sets[P2], mirror[P1]), (sets[P0], mirror[P0]))
     if any(
         sorted(_SWAP[w.name] for w in ws) != sorted(w.name for w in mirrored)
         for ws, mirrored in pairs

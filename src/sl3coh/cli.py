@@ -18,6 +18,7 @@ import json
 import sys
 
 from . import __version__
+from .boundary import TRIVIAL
 from .checks import run_all
 from .eisenstein import cohomology_report
 from .euler import euler_values, symbolic_table
@@ -104,7 +105,7 @@ def _render_report_md(report: dict) -> str:
 def _md_cell(summands: list) -> str:
     parts = []
     for s in summands:
-        body = "Q" if s["kind"] == "TrivialLine" else f"S_{s['k']}"
+        body = "Q" if s["kind"] == TRIVIAL else f"S_{s['k']}"
         parts.append(body if s["mult"] == 1 else f"{body}^{s['mult']}")
     return " + ".join(parts) if parts else "0"
 

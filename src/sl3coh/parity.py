@@ -8,8 +8,8 @@ only the Levi weight (a, n) and lives in gl2.survives.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .gl2 import survives
 from .rootsystem import (
@@ -23,15 +23,6 @@ from .rootsystem import (
 )
 
 
-@dataclass(frozen=True)
-class SurvivorSets:
-    """The surviving Kostant representatives, per parabolic."""
-
-    w0: tuple[WeylElement, ...]
-    w1: tuple[WeylElement, ...]
-    w2: tuple[WeylElement, ...]
-
-
 def minimal_parabolic_survives(w: WeylElement, lam: HighestWeight) -> bool:
     """True iff the P0 face line for w survives: both coordinates even."""
     # the fundamental coordinates of w . lam are c1 - c2 and c2 - c3
@@ -39,18 +30,14 @@ def minimal_parabolic_survives(w: WeylElement, lam: HighestWeight) -> bool:
     return (c1 - c2) % 2 == 0 and (c2 - c3) % 2 == 0
 
 
-def maximal_parabolic_survives(w: WeylElement, lam: HighestWeight, levi: int) -> bool:
-    """True iff the P_levi face block for w survives, by its Levi weight."""
-    return survives(restrict_to_levi(w, lam, levi))
-
-
 @lru_cache(maxsize=None)
-def survivor_sets(lam: HighestWeight) -> SurvivorSets:
-    """All surviving Kostant representatives, ordered by length."""
-    w0 = tuple(w for w in kostant_set(P0) if minimal_parabolic_survives(w, lam))
-    w1 = tuple(w for w in kostant_set(P1) if maximal_parabolic_survives(w, lam, 1))
-    w2 = tuple(w for w in kostant_set(P2) if maximal_parabolic_survives(w, lam, 2))
-    return SurvivorSets(w0=w0, w1=w1, w2=w2)
+def survivor_sets(lam: HighestWeight) -> MappingProxyType:
+    """The surviving Kostant representatives per parabolic, ordered by length."""
+    sets = {P0: tuple(w for w in kostant_set(P0) if minimal_parabolic_survives(w, lam))}
+    for p in (P1, P2):
+        sets[p] = tuple(w for w in kostant_set(p) if survives(restrict_to_levi(w, lam, p)))
+    # read-only: the cache hands the same mapping to every caller
+    return MappingProxyType(sets)
 
 
 def case_classifier(lam: HighestWeight) -> int:

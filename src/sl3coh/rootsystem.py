@@ -142,28 +142,22 @@ def kostant_set(p: Parabolic) -> tuple[WeylElement, ...]:
     return tuple(out)
 
 
-# the Kostant sets of the maximal parabolics, by Levi index
-_LEVI_KOSTANT = {1: kostant_set(P1), 2: kostant_set(P2)}
-
-
-def restrict_to_levi(w: WeylElement, lam: HighestWeight, levi: int) -> GL2Weight:
+def restrict_to_levi(w: WeylElement, lam: HighestWeight, p: Parabolic) -> GL2Weight:
     """The weight V_{a,n} of w . lam on the Levi GL2 of P1 or P2.
 
     a is the coordinate along the Levi's SL2 direction, n the one along its
     center.  Only defined for w in the Kostant set of the parabolic.  The
     (a, n) coordinates depend only on the class of w . lam mod (1, 1, 1):
-    levi 1 reads (c2 - c3, c2 + c3 - 2 c1), levi 2 reads
-    (c1 - c2, c1 + c2 - 2 c3).
+    P1 reads (c2 - c3, c2 + c3 - 2 c1), P2 reads (c1 - c2, c1 + c2 - 2 c3).
     """
     if not isinstance(w, WeylElement):
         raise TypeError(f"w must be a WeylElement, got {w!r}")
-    if type(levi) is not int:
-        raise TypeError(f"levi must be an int, got {levi!r}")
-    if levi not in (1, 2):
-        raise ValueError(f"levi must be 1 or 2, got {levi!r}")
-    if w not in _LEVI_KOSTANT[levi]:
-        raise ValueError(f"{w.name} is not a Kostant representative for P{levi}")
+    if w not in kostant_set(p):
+        raise ValueError(f"{w.name} is not a Kostant representative for {p.tag}")
+    # compare tags: the dataclass __eq__ of Parabolic is slow on this path
+    if p.tag == "P0":
+        raise ValueError("P0 has no Levi GL2: its Levi is the diagonal torus")
     c1, c2, c3 = w.dot(lam)
-    if levi == 1:
+    if p.tag == "P1":
         return GL2Weight(c2 - c3, c2 + c3 - 2 * c1)
     return GL2Weight(c1 - c2, c1 + c2 - 2 * c3)

@@ -19,10 +19,12 @@ highest weight (m1, m2, m3):
 None of the three costs more as the weight grows.  All three are
 independent implementations: gt_trace and weyl_det_trace count basis
 vectors or monomials and never read the tables M3/M4/M6 or call
-closed_trace, so the verification suite and the acceptance tests can pin
-them against each other.  All arithmetic is on Python integers.  Traces do
-not depend on m3 for determinant-one elements, so the closed and
-determinant routes take (m1, m2) only.
+closed_trace, and weyl_det_trace sums its symmetric counts against its own
+table of 2 cos(2 pi e / k), not gt_trace's powers of zeta_k, so the
+verification suite and the acceptance tests can pin them against each
+other.  All arithmetic is on Python integers.  Traces do not depend on m3
+for determinant-one elements, so the closed and determinant routes take
+(m1, m2) only.
 """
 from __future__ import annotations
 
@@ -213,14 +215,22 @@ def closed_trace(m1: int, m2: int, m3: int, k: int) -> int:
     return 0
 
 
+# 2 cos(2 pi e / k) for e = 0..k-1, exactly
+_TWO_COS = {2: (2, -2), 3: (2, -1, -1), 4: (2, 0, -2, 0), 6: (2, 1, -1, -2, -1, 1)}
+
+
 @lru_cache(maxsize=256)
 def _h_row(m: int, k: int) -> int:
     """Complete homogeneous symmetric sum h_m(1, zeta_k, zeta_k^-1).
 
-    h_m = 0 for m < 0.  Always a rational integer (the sum is Galois
-    stable).  Cost O(k), whatever m.
+    h_m = 0 for m < 0.  The counts at e and -e are equal, so h_m is the
+    rational integer sum_e counts[e] 2 cos(2 pi e / k) / 2.  Cost O(k),
+    whatever m.
     """
-    return _zeta_sum(_h_counts(m, k), k) if m >= 0 else 0
+    counts = _h_counts(m, k) if m >= 0 else [0] * k
+    if counts[1:] != counts[:0:-1]:
+        raise ValueError(f"exponent counts {counts} of h_{m} are not symmetric")
+    return sum(map(mul, counts, _TWO_COS[k])) // 2
 
 
 def _h_counts(m: int, k: int) -> list[int]:

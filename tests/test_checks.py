@@ -485,8 +485,38 @@ def test_each_family_fails_when_its_route_is_corrupted(
         assert check in {f["check"] for f in spots}
 
 
+def _flagged(records, check):
+    return {
+        (f["params"]["m1"], f["params"]["m2"], f["params"]["k"])
+        for f in records
+        if f["check"] == check
+    }
+
+
+def test_a_zeta_power_fault_reaches_one_counting_route(monkeypatch, cold_h_row):
+    # gt_trace evaluates its counts at the powers of zeta_k, weyl_det_trace
+    # at its own cosines: a wrong power shows against both other routes
+    _zeta_table_fault(monkeypatch)
+    records = dict(CHECKS)["trace_routes"](6, 0)
+    closed = _flagged(records, "gt_trace_vs_closed_trace")
+    assert closed
+    assert closed == _flagged(records, "gt_trace_vs_weyl_det_trace")
+
+
 def _gt_zeta_fault(monkeypatch):
     _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: (m1, m2, k) == (2, 2, 3), 1)
+
+
+def _h_counts_asymmetry_fault(monkeypatch):
+    # one more monomial at exponent 1 and none at -1: h_m would not be real
+    clean = traces._h_counts
+
+    def corrupted(m, k):
+        counts = clean(m, k)
+        counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(traces, "_h_counts", corrupted)
 
 
 def _gl2_class_weight_fault(monkeypatch):
@@ -522,10 +552,17 @@ def test_gl2_torsion_sum_outside_the_integers_raises(monkeypatch):
             "gl2_routes",
             "CrossCheckError: GL2 torsion sum at m=0, det_twist=0 is 5/4",
         ),
+        (
+            _h_counts_asymmetry_fault,
+            "trace_routes",
+            "ValueError: exponent counts [1, 1, 0] of h_0 are not symmetric",
+        ),
     ],
-    ids=["torsion_sum", "zeta_sum", "gl2_torsion_sum"],
+    ids=["torsion_sum", "zeta_sum", "gl2_torsion_sum", "h_counts_symmetry"],
 )
-def test_a_sum_outside_the_integers_is_recorded(monkeypatch, fault, family, detail):
+def test_a_sum_outside_the_integers_is_recorded(
+    monkeypatch, cold_h_row, fault, family, detail
+):
     fault(monkeypatch)
     records = _by_family(run_all(max_weight=6))[family]
     assert [f["check"] for f in records] == [f"{family}_raised"]

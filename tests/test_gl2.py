@@ -14,7 +14,6 @@ from sl3coh.gl2 import (
     h1_split,
     sl2_euler,
 )
-from sl3coh.parity import maximal_parabolic_survives
 from sl3coh.rootsystem import E, HighestWeight, restrict_to_levi
 
 # classical level-one dimensions
@@ -107,10 +106,6 @@ def _cached_then_float():
         pytest.param(
             lambda: restrict_to_levi(E, HighestWeight(2, 1), True),
             id="restrict_to_levi_bool_levi",
-        ),
-        pytest.param(
-            lambda: maximal_parabolic_survives(E, HighestWeight(2, 1), True),
-            id="maximal_parabolic_survives_bool_levi",
         ),
         pytest.param(
             lambda: SymbolicCell("sum", offset=1.5), id="symbolic_cell_float_offset"

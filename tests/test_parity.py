@@ -3,17 +3,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl3coh import checks
+from sl3coh.gl2 import survives
 from sl3coh.parity import (
     case_classifier,
-    maximal_parabolic_survives,
     minimal_parabolic_survives,
     survivor_sets,
 )
-from sl3coh.rootsystem import E, S1, S12, HighestWeight, WEYL_GROUP
+from sl3coh.rootsystem import (
+    E,
+    P0,
+    P1,
+    P2,
+    S1,
+    S12,
+    HighestWeight,
+    WEYL_GROUP,
+    restrict_to_levi,
+)
 
 small = st.integers(min_value=0, max_value=30)
 
-# representative weight and expected survivor names (w0, w1, w2) per case
+# representative weight and expected survivor names on P0, P1, P2 per case
 CASES = {
     1: ((0, 0), ["e", "s1s2s1"], ["e"], ["e"]),
     2: ((0, 4), ["e", "s1s2s1"], ["e"], ["e", "s2s1"]),
@@ -29,13 +39,11 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_survivor_sets_by_case(case):
-    (m1, m2), w0, w1, w2 = CASES[case]
+    (m1, m2), *names = CASES[case]
     lam = HighestWeight(m1, m2)
     assert case_classifier(lam) == case
     sets = survivor_sets(lam)
-    assert [w.name for w in sets.w0] == w0
-    assert [w.name for w in sets.w1] == w1
-    assert [w.name for w in sets.w2] == w2
+    assert [[w.name for w in sets[p]] for p in (P0, P1, P2)] == names
 
 
 def test_minimal_survivor_is_parity_of_coordinates():
@@ -47,11 +55,12 @@ def test_minimal_survivor_is_parity_of_coordinates():
 
 def test_maximal_survivor_examples():
     # (a, n) = (1, 3) for w = s1 at the trivial weight: n odd, killed
-    assert not maximal_parabolic_survives(S1, HighestWeight(0, 0), 1)
+    lam = HighestWeight(0, 0)
+    assert not survives(restrict_to_levi(S1, lam, P1))
     # (a, n) = (0, 6) for w = s1s2 at the trivial weight: n/2 odd, killed
-    assert not maximal_parabolic_survives(S12, HighestWeight(0, 0), 1)
+    assert not survives(restrict_to_levi(S12, lam, P1))
     # (a, n) = (0, 0) for w = e: survives
-    assert maximal_parabolic_survives(E, HighestWeight(0, 0), 1)
+    assert survives(restrict_to_levi(E, lam, P1))
 
 
 @given(small, small)
@@ -60,9 +69,8 @@ def test_survivors_depend_only_on_parity_class(m1, m2):
     # bumping a nonzero coordinate by 2 never changes the survivor names
     bumped = HighestWeight(m1 + 2 if m1 else 0, m2 + 2 if m2 else 0)
     a, b = survivor_sets(lam), survivor_sets(bumped)
-    assert [w.name for w in a.w0] == [w.name for w in b.w0]
-    assert [w.name for w in a.w1] == [w.name for w in b.w1]
-    assert [w.name for w in a.w2] == [w.name for w in b.w2]
+    for p in (P0, P1, P2):
+        assert [w.name for w in a[p]] == [w.name for w in b[p]]
 
 
 @given(small, small)
@@ -75,7 +83,7 @@ def test_survivor_reflection_symmetry(m1, m2):
 @given(small, small)
 def test_at_most_one_minimal_survivor_per_degree(m1, m2):
     sets = survivor_sets(HighestWeight(m1, m2))
-    lengths = [w.length for w in sets.w0]
+    lengths = [w.length for w in sets[P0]]
     assert len(lengths) == len(set(lengths))
     assert len(lengths) <= 2
 
@@ -96,7 +104,7 @@ def test_survivor_sets_ordered_by_length():
     for case in CASES:
         (m1, m2), *_ = CASES[case]
         sets = survivor_sets(HighestWeight(m1, m2))
-        for ws in (sets.w0, sets.w1, sets.w2):
+        for ws in sets.values():
             assert list(ws) == sorted(ws, key=lambda w: w.length)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl3coh import checks
-from sl3coh.parity import maximal_parabolic_survives
+from sl3coh.parity import survivor_sets
 from sl3coh.rootsystem import (
     E,
     HighestWeight,
@@ -177,35 +177,40 @@ def test_levi_restriction_by_linear_algebra(m1, m2):
     # character lattice and compare with restrict_to_levi
     half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
     bases = {
-        1: ((0, half, -half), (-third, sixth, sixth)),
-        2: ((half, -half, 0), (sixth, sixth, -third)),
+        P1: ((0, half, -half), (-third, sixth, sixth)),
+        P2: ((half, -half, 0), (sixth, sixth, -third)),
     }
     lam = HighestWeight(m1, m2)
-    for levi, p in ((1, P1), (2, P2)):
-        gamma, kappa = bases[levi]
+    for p, (gamma, kappa) in bases.items():
         center = (1, 1, 1)
         for w in kostant_set(p):
             rhs = [Fraction(c) for c in w.dot(lam)]
             a, n, _ = _solve3((gamma, kappa, center), rhs)
-            r = restrict_to_levi(w, lam, levi)
+            r = restrict_to_levi(w, lam, p)
             assert (a, n) == (r.a, r.n)
 
 
 def test_levi_restriction_rejects_bad_input():
     lam = HighestWeight(1, 1)
     with pytest.raises(ValueError):
-        restrict_to_levi(S2, lam, 1)
+        restrict_to_levi(S2, lam, P1)
     with pytest.raises(ValueError):
-        restrict_to_levi(S1, lam, 2)
-    with pytest.raises(ValueError):
-        restrict_to_levi(E, lam, 3)
+        restrict_to_levi(S1, lam, P2)
+    # P0's Levi is the torus: there is no GL2 weight to restrict to
+    with pytest.raises(ValueError, match="P0 has no Levi GL2"):
+        restrict_to_levi(E, lam, P0)
     # a name or tag in place of a WeylElement or Parabolic
     with pytest.raises(TypeError):
-        restrict_to_levi("e", HighestWeight(2, 1), 1)
+        restrict_to_levi("e", HighestWeight(2, 1), P1)
     with pytest.raises(TypeError):
-        maximal_parabolic_survives("e", HighestWeight(2, 1), 1)
+        restrict_to_levi(E, lam, "P1")
     with pytest.raises(TypeError):
         kostant_set("P1")
+    # one read-only entry per face: the cache hands the same mapping out
+    sets = survivor_sets(lam)
+    assert set(sets) == {P0, P1, P2}
+    with pytest.raises(TypeError):
+        sets[P1] = ()
 
 
 def test_parabolic_data():
@@ -237,9 +242,9 @@ def _epsilon_dot_action(w, lam):
     return _normalized(result) if lam.m3 is None else result
 
 
-def _epsilon_levi_weight(w, lam, levi):
+def _epsilon_levi_weight(w, lam, p):
     c1, c2, c3 = _epsilon_dot_action(w, lam)
-    if levi == 1:
+    if p == P1:
         return c2 - c3, c2 + c3 - 2 * c1
     return c1 - c2, c1 + c2 - 2 * c3
 
@@ -260,14 +265,14 @@ def test_dot_action_matches_the_epsilon_weight_route(lam):
 
 @given(weights)
 def test_levi_restriction_matches_the_epsilon_weight_route(lam):
-    for levi, p in ((1, P1), (2, P2)):
+    for p in (P1, P2):
         for w in WEYL_GROUP:
             if w in kostant_set(p):
-                r = restrict_to_levi(w, lam, levi)
-                assert (r.a, r.n) == _epsilon_levi_weight(w, lam, levi)
+                r = restrict_to_levi(w, lam, p)
+                assert (r.a, r.n) == _epsilon_levi_weight(w, lam, p)
             else:
                 with pytest.raises(ValueError, match="not a Kostant"):
-                    restrict_to_levi(w, lam, levi)
+                    restrict_to_levi(w, lam, p)
 
 
 def test_sl3_part_keeps_sl3_weights():
