@@ -16,9 +16,9 @@ from .boundary import boundary_profile, case_profile
 from .eisenstein import (
     UNDETERMINED,
     ZERO,
+    _identities,
     eisenstein_case_profile,
     ghost_report,
-    verify_identities,
 )
 from .euler import sl3_euler_closed, sl3_euler_wall, symbolic_cell
 from .gl2 import dim_cusp_forms, gl2_euler, gl2_euler_wall, sl2_euler
@@ -117,7 +117,7 @@ def survivors_at(lam: HighestWeight) -> Iterator[dict]:
     for p in (P1, P2):
         for w in kostant_set(p):
             r = restrict_to_levi(w, lam, p)
-            if w in sets[p] and (r.a < 0 or r.a % 2 != 0 or r.n % 2 != 0):
+            if w in sets[p] and r.n % 2 != 0:
                 yield _fail(
                     "survivor_parity",
                     _at(lam, parabolic=p.tag, w=w.name),
@@ -167,11 +167,12 @@ def boundary_at(lam: HighestWeight) -> Iterator[dict]:
 
 def identities_at(lam: HighestWeight) -> Iterator[dict]:
     """The Eisenstein/boundary/Euler identity suite, plus duality."""
-    for name, ok in verify_identities(lam).items():
+    eis, dual = eisenstein_case_profile(lam), lam.dual()
+    for name, ok in _identities(lam, eis, dual).items():
         if not ok:
             yield _fail(name, _at(lam), "identity fails")
     bd = case_profile(lam)
-    bd_dual = case_profile(lam.dual())
+    bd_dual = case_profile(dual)
     for q in range(5):
         if bd.dimension(q) != bd_dual.dimension(4 - q):
             yield _fail(
@@ -180,7 +181,6 @@ def identities_at(lam: HighestWeight) -> Iterator[dict]:
                 f"dim H^{q} = {bd.dimension(q)} but dual "
                 f"dim H^{4 - q} = {bd_dual.dimension(4 - q)}",
             )
-    eis = eisenstein_case_profile(lam)
     for q in range(4):
         eis_ms = eis.multiset(q)
         bd_ms = bd.multiset(q)

@@ -139,30 +139,30 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_euler_table(args) -> int:
-    # one grid, one row per m1 (mod 12 for the symbolic cells)
+    # one grid, one row per m1 (mod 12 for the symbolic cells); each row is
+    # one string, filled into a %-template built once per table
     if args.symbolic:
         rows = [[cell.render() for cell in row] for row in symbolic_table()]
-        header, show = "m1_mod_12,m2_mod_12,cell", '"{}"'.format
+        header, field = "m1_mod_12,m2_mod_12,cell", '"%s"'
     else:
         rows = euler_values(args.m1_max, args.m2_max)
-        header, show = "m1,m2,chi", str
+        header, field = "m1,m2,chi", "%s"
     width = len(rows[0])
     if args.format == "csv":
         lines = [header]
-        keys = [f"{j}," for j in range(width)]
+        template = "\n".join([f"%s,{j},{field}" for j in range(width)])
         for i, row in enumerate(rows):
-            prefix = f"{i},"
-            # one string per row, so that only one row's lines are alive at once
-            lines.append(
-                "\n".join([prefix + key + show(v) for key, v in zip(keys, row)])
-            )
+            fill = [str(i)] * (2 * width)
+            fill[1::2] = row
+            lines.append(template % tuple(fill))
     else:
         lines = [
             "| m1\\m2 | " + " | ".join(map(str, range(width))) + " |",
             "|---" * (width + 1) + "|",
         ]
+        template = "| " + " | ".join(["%s"] * (width + 1)) + " |"
         for i, row in enumerate(rows):
-            lines.append(f"| {i} | " + " | ".join(map(str, row)) + " |")
+            lines.append(template % (i, *row))
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -57,8 +57,11 @@ def eisenstein_case_profile(lam: HighestWeight) -> GradedProfile:
 
 def verify_identities(lam: HighestWeight) -> dict:
     """The three exact identities linking Eisenstein, boundary, and Euler."""
-    dual = lam.dual()
-    eis = eisenstein_case_profile(lam)
+    return _identities(lam, eisenstein_case_profile(lam), lam.dual())
+
+
+def _identities(lam: HighestWeight, eis: GradedProfile, dual: HighestWeight) -> dict:
+    """verify_identities(lam), given lam's Eisenstein profile and dual weight."""
     eis_dual = eisenstein_case_profile(dual)
     bd = case_profile(lam)
     bd_dual = case_profile(dual)
@@ -118,7 +121,7 @@ def cohomology_report(lam: HighestWeight) -> dict:
     else:
         boundary = boundary_profile(sl3)
         eisenstein = eisenstein_case_profile(sl3)
-        identities = verify_identities(sl3)
+        identities = _identities(sl3, eisenstein, sl3.dual())
         ghosts = {str(q): s for q, s in ghost_report(sl3).items()}
         euler = euler_report(sl3)
     weight = {"m1": lam.m1, "m2": lam.m2}

@@ -91,6 +91,16 @@ class SymbolicCell:
             raise CrossCheckError(f"{self} does not divide at ({m1}, {m2})")
         return num // 12 + self.shift
 
+    def run(self, m1: int, m2: int, count: int) -> list[int]:
+        """The values at (m1, m2 + 12 t) for 0 <= t < count.
+
+        The numerator moves by a multiple of 12 along the run, so evaluate's
+        divisibility check at its first two weights covers every weight.
+        """
+        first = self.evaluate(m1, m2)
+        step = self.evaluate(m1, m2 + 12) - first
+        return list(range(first, first + step * count, step)) if step else [first] * count
+
     def render(self) -> str:
         if self.kind == "zero":
             return "0"
@@ -133,20 +143,22 @@ def symbolic_table() -> list[list[SymbolicCell]]:
 def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
     """chi_h over 0 <= m1 <= m1_max, 0 <= m2 <= m2_max, one row per m1.
 
-    Each weight is evaluated through its symbolic cell, so the cell's
-    divisibility check runs at every weight; the 144 cells are built once
-    per call.
+    The 144 cells are built once per call; each row is filled by 12 residue
+    runs m2 = j, j + 12, ... (SymbolicCell.run), whose divisibility checks
+    at the first two weights of a run cover the whole run.
     """
     if type(m1_max) is not int or type(m2_max) is not int:
         raise TypeError(f"sweep bounds must be ints, got ({m1_max!r}, {m2_max!r})")
     if m1_max < 0 or m2_max < 0:
         raise ValueError("sweep bounds must be >= 0")
     cells = symbolic_table()
-    m2s = range(m2_max + 1)
+    width = m2_max + 1
     out = []
     for m1 in range(m1_max + 1):
-        row = cells[m1 % 12]
-        out.append([row[m2 % 12].evaluate(m1, m2) for m2 in m2s])
+        row = [0] * width
+        for j, cell in enumerate(cells[m1 % 12][:width]):
+            row[j::12] = cell.run(m1, j, (width - 1 - j) // 12 + 1)
+        out.append(row)
     return out
 
 

@@ -219,7 +219,7 @@ def closed_trace(m1: int, m2: int, m3: int, k: int) -> int:
 _TWO_COS = {2: (2, -2), 3: (2, -1, -1), 4: (2, 0, -2, 0), 6: (2, 1, -1, -2, -1, 1)}
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _h_row(m: int, k: int) -> int:
     """Complete homogeneous symmetric sum h_m(1, zeta_k, zeta_k^-1).
 

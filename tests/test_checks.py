@@ -485,6 +485,16 @@ def test_each_family_fails_when_its_route_is_corrupted(
         assert check in {f["check"] for f in spots}
 
 
+def test_the_survivor_parity_fault_fires_only_survivor_parity(
+    monkeypatch, cold_boundary_caches
+):
+    # survives without its "n even" clause: only the n parity of a
+    # survivor's Levi weight can be wrong, GL2Weight checks a >= 0 and a = n
+    _survivor_parity_fault(monkeypatch)
+    names = {f["check"] for f in dict(CHECKS)["survivors"](6, 0)}
+    assert names == {"survivor_parity"}
+
+
 def _flagged(records, check):
     return {
         (f["params"]["m1"], f["params"]["m2"], f["params"]["k"])

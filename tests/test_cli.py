@@ -225,7 +225,10 @@ def _reference_table(m1_max, m2_max, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "md"])
-@pytest.mark.parametrize("m1_max, m2_max", [(40, 40), (0, 0), (13, 0), (0, 25)])
+@pytest.mark.parametrize(
+    "m1_max, m2_max",
+    [(40, 40), (0, 0), (13, 0), (0, 25), (11, 13), (25, 11), (3, 150), (150, 3)],
+)
 def test_numeric_table_matches_the_closed_form(capsys, fmt, m1_max, m2_max):
     code, out = run(
         capsys, "euler-table", "--m1-max", str(m1_max), "--m2-max", str(m2_max),

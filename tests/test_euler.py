@@ -96,9 +96,22 @@ def test_symbolic_table_shape_and_consistency():
             assert table[i][j].evaluate(i, j) == sl3_euler_closed(HighestWeight(i, j))
 
 
+def test_symbolic_cell_runs_match_evaluate():
+    for i in range(12):
+        for j in range(12):
+            cell = symbolic_cell(i, j)
+            for m1, m2 in ((i, j), (i + 36, j + 120)):
+                for count in (0, 1, 2, 13):
+                    assert cell.run(m1, m2, count) == [
+                        cell.evaluate(m1, m2 + 12 * t) for t in range(count)
+                    ]
+
+
 def test_euler_values_match_the_closed_form():
-    values = euler_values(60, 60)
-    assert len(values) == 61 and all(len(row) == 61 for row in values)
+    # the benchmark's 151 x 151 table: 13 weights in each of the first 7
+    # residue runs of a row, 12 in the other 5
+    values = euler_values(150, 150)
+    assert len(values) == 151 and all(len(row) == 151 for row in values)
     for m1, row in enumerate(values):
         for m2, value in enumerate(row):
             assert value == sl3_euler_closed(HighestWeight(m1, m2))

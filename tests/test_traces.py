@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl3coh import traces
+from sl3coh.checks import CHECKS
 from sl3coh.rootsystem import HighestWeight
 from sl3coh.traces import (
     SL3_TORSION_CLASSES,
@@ -269,6 +270,14 @@ def test_gt_trace_at_piece_edges(k, m3):
 def test_h_row_at_small_and_period_edges(k):
     for m in range(-2, 4 * k + 3):
         assert traces._h_row(m, k) == _h_row_by_monomials(m, k)
+
+
+def test_h_row_cache_holds_the_trace_sweep():
+    # trace_routes(60) reads _h_row at m = -1 .. 121 for each of the 4
+    # orders, 492 keys; a cache smaller than that evicts keys it reads again
+    traces._h_row.cache_clear()
+    dict(CHECKS)["trace_routes"](60, 0)
+    assert traces._h_row.cache_info().misses == 492
 
 
 @pytest.mark.parametrize("k", TRACE_ORDERS)
