@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .boundary import (
     CohomologySummand,
-    E1Page,
     E1Term,
     GradedProfile,
     boundary_profile,
@@ -23,7 +22,6 @@ from .eisenstein import (
     eisenstein_case_profile,
     ghost_report,
     gl3_vanishes,
-    verify_identities,
 )
 from .euler import (
     SymbolicCell,

@@ -13,8 +13,10 @@ CrossCheckError on a mismatch.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import CrossCheckError
 from .gl2 import dim_cusp_forms, h1_split
@@ -47,6 +49,8 @@ class CohomologySummand:
             raise TypeError(f"k and mult must be ints, got {self.k!r}, {self.mult!r}")
         if self.mult < 1:
             raise ValueError(f"multiplicity must be >= 1, got {self.mult}")
+        if self.kind == CUSP and self.k < 2:
+            raise ValueError(f"cusp weight k must be >= 2, got {self.k}")
 
     def dimension(self) -> int:
         if self.kind == TRIVIAL:
@@ -150,24 +154,9 @@ class E1Term:
         return lines
 
 
-@dataclass(frozen=True)
-class E1Page:
-    """The two-column E1 page, each column keyed by total degree."""
-
-    col0: tuple[tuple[int, tuple[E1Term, ...]], ...]
-    col1: tuple[tuple[int, tuple[E1Term, ...]], ...]
-
-    def column(self, p: int) -> dict:
-        if type(p) is not int:
-            raise TypeError(f"column must be an int, got {p!r}")
-        if p not in (0, 1):
-            raise ValueError(f"columns are 0 and 1, got {p}")
-        return dict(self.col0 if p == 0 else self.col1)
-
-
 @lru_cache(maxsize=None)
-def e1_page(lam: HighestWeight) -> E1Page:
-    """Assemble the E1 page from the surviving face contributions."""
+def e1_page(lam: HighestWeight) -> tuple[MappingProxyType, MappingProxyType]:
+    """The E1 page's columns (col0, col1), each total degree -> its E1Terms."""
     sets = survivor_sets(lam)
     col0: dict[int, list[E1Term]] = {}
     col1: dict[int, list[E1Term]] = {}
@@ -189,19 +178,20 @@ def e1_page(lam: HighestWeight) -> E1Page:
         raise CrossCheckError(
             f"E1 page of {lam} outside degrees 0..3: columns {col0}, {col1}"
         )
-    return E1Page(
-        col0=tuple((q, tuple(col0[q])) for q in sorted(col0)),
-        col1=tuple((q, tuple(col1[q])) for q in sorted(col1)),
+    # read-only: the cache hands the same two objects to every caller
+    return (
+        MappingProxyType({q: tuple(col0[q]) for q in sorted(col0)}),
+        MappingProxyType({q: tuple(col1[q]) for q in sorted(col1)}),
     )
 
 
-def d1_rank(lam: HighestWeight, col0: dict, col1: dict, q: int) -> int:
+def d1_rank(lam: HighestWeight, col0: Mapping, col1: Mapping, q: int) -> int:
     """Rank of d1 out of column 0 in total degree q of the E1 page of lam.
 
-    col0 and col1 are the page's columns.  The target is the (at most one)
-    surviving minimal-face line in degree q; the map is onto it as soon as
-    column 0 contributes any invariant line or Eisenstein line in the same
-    degree.  Cusp summands never hit it.
+    col0 and col1 are the two columns that e1_page(lam) returns.  The
+    target is the (at most one) surviving minimal-face line in degree q; the
+    map is onto it as soon as column 0 contributes any invariant line or
+    Eisenstein line in the same degree.  Cusp summands never hit it.
     """
     targets = len(col1.get(q, ()))
     if targets > 1:
@@ -217,9 +207,7 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     With cross_check (the default) the result must equal the closed case
     formula, or CrossCheckError is raised.
     """
-    page = e1_page(lam)
-    col0 = page.column(0)
-    col1 = page.column(1)
+    col0, col1 = e1_page(lam)
     by_degree: dict[int, list[CohomologySummand]] = {q: [] for q in range(5)}
     for q in range(4):
         rank = d1_rank(lam, col0, col1, q)

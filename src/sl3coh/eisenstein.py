@@ -55,13 +55,8 @@ def eisenstein_case_profile(lam: HighestWeight) -> GradedProfile:
     return GradedProfile.build(data)
 
 
-def verify_identities(lam: HighestWeight) -> dict:
-    """The three exact identities linking Eisenstein, boundary, and Euler."""
-    return _identities(lam, eisenstein_case_profile(lam), lam.dual())
-
-
 def _identities(lam: HighestWeight, eis: GradedProfile, dual: HighestWeight) -> dict:
-    """verify_identities(lam), given lam's Eisenstein profile and dual weight."""
+    """The three identities at lam, given its Eisenstein profile and dual weight."""
     eis_dual = eisenstein_case_profile(dual)
     bd = case_profile(lam)
     bd_dual = case_profile(dual)

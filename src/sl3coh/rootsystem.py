@@ -63,6 +63,8 @@ class WeylElement:
     source: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if sorted(self.perm) != [1, 2, 3]:
+            raise ValueError(f"perm must be a permutation of (1, 2, 3), got {self.perm!r}")
         source = tuple(self.perm.index(j + 1) for j in range(3))
         object.__setattr__(self, "source", source)
 

@@ -41,8 +41,7 @@ PROFILES = {
 
 
 def test_e1_page_of_the_trivial_weight():
-    page = e1_page(HighestWeight(0, 0))
-    col0, col1 = page.column(0), page.column(1)
+    col0, col1 = e1_page(HighestWeight(0, 0))
     assert sorted(col0) == [0]
     assert sorted((t.parabolic, t.w, t.face_degree) for t in col0[0]) == [
         ("P1", "e", 0),
@@ -55,8 +54,7 @@ def test_e1_page_of_the_trivial_weight():
 
 
 def test_e1_page_with_modular_blocks():
-    page = e1_page(HighestWeight(0, 11))
-    col0, col1 = page.column(0), page.column(1)
+    col0, col1 = e1_page(HighestWeight(0, 11))
     assert sorted(col0) == [2]
     by_face = {(t.parabolic, t.w): t for t in col0[2]}
     assert set(by_face) == {("P1", "s1"), ("P1", "s1s2"), ("P2", "s2")}
@@ -67,15 +65,15 @@ def test_e1_page_with_modular_blocks():
     assert by_face[("P2", "s2")].summands == (cusp(14), trivial_line())
     assert by_face[("P2", "s2")].trivial_lines() == 1
     assert sorted(col1) == [1, 2]
-    with pytest.raises(ValueError):
-        page.column(2)
+    # read-only columns: the cache hands the same two mappings out
+    with pytest.raises(TypeError):
+        col0[2] = ()
 
 
 def test_d1_ranks():
     def rank(m1, m2, q):
         lam = HighestWeight(m1, m2)
-        page = e1_page(lam)
-        return d1_rank(lam, page.column(0), page.column(1), q)
+        return d1_rank(lam, *e1_page(lam), q)
 
     assert rank(0, 0, 0) == 1
     assert rank(0, 0, 3) == 0
@@ -114,6 +112,11 @@ def test_summand_validation():
         CohomologySummand(CUSP)
     with pytest.raises(ValueError):
         CohomologySummand(TRIVIAL, mult=0)
+    # no level-one cusp forms below weight 2: refused when the summand is made
+    with pytest.raises(ValueError, match="got 1"):
+        cusp(1)
+    with pytest.raises(ValueError, match="got -4"):
+        cusp(-4)
     # ghost statuses live in ghost_report, not in a summand kind
     with pytest.raises(ValueError, match="unknown summand kind"):
         CohomologySummand("GhostCandidateLine")

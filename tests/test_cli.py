@@ -139,25 +139,6 @@ def test_text_and_md_profiles_render_alike(capsys):
     assert "| 4 | 0 |  | Zero |" in md.splitlines()
 
 
-def test_symbolic_table_md(capsys):
-    code, out = run(capsys, "euler-table", "--symbolic")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("| m1\\m2 |")
-    assert len(lines) == 14
-    assert "-(m1+m2)/12 + 1" in lines[2]
-    assert lines[13].startswith("| 11 |")
-
-
-def test_symbolic_table_csv(capsys):
-    code, out = run(capsys, "euler-table", "--symbolic", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "m1_mod_12,m2_mod_12,cell"
-    assert lines[1] == '0,0,"-(m1+m2)/12 + 1"'
-    assert len(lines) == 145
-
-
 def _pinned_symbolic_table(fmt):
     # the symbolic table rendered straight from the hand-transcribed cells
     if fmt == "csv":
@@ -174,33 +155,16 @@ def _pinned_symbolic_table(fmt):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "md"])
+def _format(fmt):
+    # None runs with no --format, which must give the md bytes
+    return ("--format", fmt) if fmt else ()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md", pytest.param(None, id="default")])
 def test_symbolic_table_matches_the_pinned_table(capsys, fmt):
-    code, out = run(capsys, "euler-table", "--symbolic", "--format", fmt)
+    code, out = run(capsys, "euler-table", "--symbolic", *_format(fmt))
     assert code == 0
-    assert out == _pinned_symbolic_table(fmt)
-
-
-def test_numeric_table_csv(capsys):
-    code, out = run(
-        capsys, "euler-table", "--m1-max", "12", "--m2-max", "2",
-        "--format", "csv",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "m1,m2,chi"
-    assert lines[1] == "0,0,1"
-    assert lines[2] == "0,1,1"
-    assert "10,0,-1" in lines
-    assert len(lines) == 1 + 13 * 3
-
-
-def test_numeric_table_md(capsys):
-    code, out = run(capsys, "euler-table", "--m1-max", "2", "--m2-max", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "| m1\\m2 | 0 | 1 | 2 | 3 |"
-    assert lines[2] == "| 0 | 1 | 1 | 0 | 1 |"
+    assert out == _pinned_symbolic_table(fmt or "md")
 
 
 def _reference_table(m1_max, m2_max, fmt):
@@ -224,18 +188,21 @@ def _reference_table(m1_max, m2_max, fmt):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "md"])
+@pytest.mark.parametrize("fmt", ["csv", "md", pytest.param(None, id="default")])
 @pytest.mark.parametrize(
     "m1_max, m2_max",
-    [(40, 40), (0, 0), (13, 0), (0, 25), (11, 13), (25, 11), (3, 150), (150, 3)],
+    [
+        (40, 40), (0, 0), (13, 0), (0, 25), (11, 13), (25, 11), (3, 150), (150, 3),
+        (12, 2), (2, 3),
+    ],
 )
 def test_numeric_table_matches_the_closed_form(capsys, fmt, m1_max, m2_max):
     code, out = run(
         capsys, "euler-table", "--m1-max", str(m1_max), "--m2-max", str(m2_max),
-        "--format", fmt,
+        *_format(fmt),
     )
     assert code == 0
-    assert out == _reference_table(m1_max, m2_max, fmt)
+    assert out == _reference_table(m1_max, m2_max, fmt or "md")
 
 
 def test_verify_passes(capsys):

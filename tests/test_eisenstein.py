@@ -17,7 +17,6 @@ from sl3coh.eisenstein import (
     eisenstein_case_profile,
     ghost_report,
     gl3_vanishes,
-    verify_identities,
 )
 from sl3coh.euler import euler_report
 from sl3coh.parity import case_classifier, survivor_sets
@@ -118,7 +117,6 @@ PER_WEIGHT = (
     boundary_profile,
     case_profile,
     eisenstein_case_profile,
-    verify_identities,
     ghost_report,
     euler_report,
 )

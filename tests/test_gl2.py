@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl3coh import checks
-from sl3coh.boundary import CohomologySummand, cusp, e1_page, trivial_line
+from sl3coh.boundary import CohomologySummand, cusp, trivial_line
 from sl3coh.checks import run_all
 from sl3coh.euler import SymbolicCell, _dim_s, euler_values, symbolic_cell
 from sl3coh.gl2 import (
@@ -109,12 +109,6 @@ def _cached_then_float():
         ),
         pytest.param(
             lambda: SymbolicCell("sum", offset=1.5), id="symbolic_cell_float_offset"
-        ),
-        pytest.param(
-            lambda: e1_page(HighestWeight(2, 1)).column(True), id="e1_column_bool_p"
-        ),
-        pytest.param(
-            lambda: e1_page(HighestWeight(2, 1)).column(0.0), id="e1_column_float_p"
         ),
     ],
 )

@@ -19,6 +19,7 @@ from sl3coh.rootsystem import (
     S21,
     W0,
     WEYL_GROUP,
+    WeylElement,
     kostant_set,
     restrict_to_levi,
 )
@@ -62,6 +63,9 @@ def test_weyl_group_table():
     assert S12.perm == (2, 3, 1)
     assert S21.perm == (3, 1, 2)
     assert W0.perm == (3, 2, 1)
+    # a perm that is not a permutation of (1, 2, 3) is refused when made
+    with pytest.raises(ValueError, match=r"got \(1, 1, 1\)"):
+        WeylElement("x", (1, 1, 1), ())
 
 
 def test_weyl_products_and_inverses():
