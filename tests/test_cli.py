@@ -139,6 +139,15 @@ def test_text_and_md_profiles_render_alike(capsys):
     assert "| 4 | 0 |  | Zero |" in md.splitlines()
 
 
+def test_symbolic_table_csv(capsys):
+    code, out = run(capsys, "euler-table", "--symbolic", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "m1_mod_12,m2_mod_12,cell"
+    assert lines[1] == '0,0,"-(m1+m2)/12 + 1"'
+    assert len(lines) == 145
+
+
 def _pinned_symbolic_table(fmt):
     # the symbolic table rendered straight from the hand-transcribed cells
     if fmt == "csv":
