@@ -28,7 +28,7 @@ CUSP = "Cusp"
 _KIND_ORDER = {TRIVIAL: 0, CUSP: 1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CohomologySummand:
     """A multiplicity of one irreducible building block.
 
@@ -93,7 +93,7 @@ def _dimension(summands) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradedProfile:
     """A graded sum of summands, degrees with no summands omitted."""
 
@@ -131,7 +131,7 @@ class GradedProfile:
         return {(s.kind, s.k): s.mult for s in self.summands(q)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class E1Term:
     """One face contribution on the E1 page.
 
@@ -154,7 +154,11 @@ class E1Term:
         return lines
 
 
-@lru_cache(maxsize=None)
+# A page is read by the one boundary_profile call that asked for it and
+# never again for the same weight (0 hits across weights), so only a few
+# recent pages are kept.  It stays an lru_cache only because the
+# benchmark's tracer reads its cache_info().
+@lru_cache(maxsize=8)
 def e1_page(lam: HighestWeight) -> tuple[MappingProxyType, MappingProxyType]:
     """The E1 page's columns (col0, col1), each total degree -> its E1Terms."""
     sets = survivor_sets(lam)

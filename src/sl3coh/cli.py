@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -112,7 +113,16 @@ def _md_cell(summands: list) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if not out_path:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`| head`): drop the rest, and point
+            # stdout at devnull so the flush at exit cannot raise again; the
+            # exit status stays the one the command decided
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:

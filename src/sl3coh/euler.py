@@ -58,7 +58,7 @@ def sl3_euler_closed(lam: HighestWeight) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicCell:
     """One cell of the 12 x 12 Euler table.
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import CrossCheckError
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GL2Weight:
     """A weight V_{a,n} = Sym^a tensor det^((n-a)/2) of GL2."""
 

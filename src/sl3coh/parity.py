@@ -30,14 +30,22 @@ def minimal_parabolic_survives(w: WeylElement, lam: HighestWeight) -> bool:
     return (c1 - c2) % 2 == 0 and (c2 - c3) % 2 == 0
 
 
+# survivor sets -> their one read-only mapping; the sets depend only on the
+# parity case of the weight, so this holds at most nine mappings in practice
+_SHARED: dict[tuple, MappingProxyType] = {}
+
+
 @lru_cache(maxsize=None)
 def survivor_sets(lam: HighestWeight) -> MappingProxyType:
-    """The surviving Kostant representatives per parabolic, ordered by length."""
+    """The surviving Kostant representatives per parabolic, ordered by length.
+
+    Weights with equal survivor sets get the same read-only mapping, so each
+    cached weight holds a reference, not a mapping of its own.
+    """
     sets = {P0: tuple(w for w in kostant_set(P0) if minimal_parabolic_survives(w, lam))}
     for p in (P1, P2):
         sets[p] = tuple(w for w in kostant_set(p) if survives(restrict_to_levi(w, lam, p)))
-    # read-only: the cache hands the same mapping to every caller
-    return MappingProxyType(sets)
+    return _SHARED.setdefault(tuple(sets.values()), MappingProxyType(sets))
 
 
 def case_classifier(lam: HighestWeight) -> int:

@@ -27,7 +27,7 @@ def check_weight(m1: int, m2: int, m3: int = 0) -> None:
         raise ValueError(f"weight must be dominant, got ({m1}, {m2}, {m3})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HighestWeight:
     """A dominant weight: m1, m2 >= 0 in fundamental coordinates.
 
@@ -51,7 +51,7 @@ class HighestWeight:
         return HighestWeight(self.m2, self.m1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElement:
     """An element of the Weyl group S3, acting by e_i |-> e_{perm[i-1]}."""
 
@@ -105,7 +105,7 @@ POSITIVE_ROOTS: tuple[tuple[int, int, int], ...] = (ALPHA1, ALPHA2, ALPHA12)
 _NILRADICAL = {"P0": POSITIVE_ROOTS, "P1": (ALPHA1, ALPHA12), "P2": (ALPHA2, ALPHA12)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parabolic:
     """A standard parabolic subgroup: P0 minimal, P1/P2 the two maximal ones."""
 

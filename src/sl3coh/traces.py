@@ -49,7 +49,7 @@ _ZETA_POWERS = {
 _ZETA_COLUMNS = {k: tuple(zip(*powers)) for k, powers in _ZETA_POWERS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorsionClass:
     """A conjugacy class of finite-order elements in SL3(Z).
 

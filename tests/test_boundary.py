@@ -1,10 +1,13 @@
 """Boundary cohomology: E1 page, the differential, and the nine-case formula."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from sl3coh.boundary import (
     CUSP,
     CohomologySummand,
+    E1Term,
     GradedProfile,
     TRIVIAL,
     boundary_profile,
@@ -14,8 +17,11 @@ from sl3coh.boundary import (
     e1_page,
     trivial_line,
 )
+from sl3coh.euler import SymbolicCell
+from sl3coh.gl2 import GL2Weight
 from sl3coh.parity import case_classifier
-from sl3coh.rootsystem import HighestWeight
+from sl3coh.rootsystem import HighestWeight, Parabolic, WeylElement
+from sl3coh.traces import TorsionClass
 
 small = st.integers(min_value=0, max_value=40)
 
@@ -132,3 +138,22 @@ def test_graded_profile_helpers():
     assert profile.dimension(1) == 1
     assert profile.total_dimension() == 1
     assert profile.euler_characteristic() == -1
+
+
+# one instance of each value type; the per-weight caches keep many of them
+VALUES = [
+    HighestWeight(2, 4),
+    WeylElement("s1", (2, 1, 3), (1,)),
+    Parabolic("P1"),
+    GL2Weight(2, 4),
+    cusp(12),
+    GradedProfile.build({1: [cusp(4)]}),
+    E1Term("P1", "e", 0, (trivial_line(),)),
+    SymbolicCell("sum", offset=2, shift=1),
+    TorsionClass("phi1*phi3", Fraction(1, 6), 3, 3),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_are_slotted(value):
+    assert not hasattr(value, "__dict__")

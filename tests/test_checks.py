@@ -22,7 +22,7 @@ from sl3coh import (
 from sl3coh.boundary import TRIVIAL, GradedProfile
 from sl3coh.checks import CHECKS, run_all
 from sl3coh.eisenstein import ZERO
-from sl3coh.rootsystem import WeylElement
+from sl3coh.rootsystem import HighestWeight, WeylElement
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -577,3 +577,17 @@ def test_a_sum_outside_the_integers_is_recorded(
     records = _by_family(run_all(max_weight=6))[family]
     assert [f["check"] for f in records] == [f"{family}_raised"]
     assert records[0]["detail"] == detail
+
+
+def test_per_weight_caches_stay_bounded_and_shared(cold_boundary_caches):
+    run_all(max_weight=12)
+    info = boundary.e1_page.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 13 * 13
+    # both weights are case 4, so their survivor sets are equal
+    shared = parity.survivor_sets(HighestWeight(2, 4))
+    assert shared is parity.survivor_sets(HighestWeight(4, 2))
+    square = range(13)
+    mappings = {id(parity.survivor_sets(HighestWeight(m1, m2))) for m1 in square for m2 in square}
+    assert len(mappings) == 9
+    with pytest.raises(TypeError):
+        shared[rootsystem.P0] = ()

@@ -4,6 +4,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,11 @@ from sl3coh import HighestWeight, cli, sl3_euler_closed, traces
 from sl3coh.cli import main
 from sl3coh.rootsystem import WeylElement
 from test_acceptance import PINNED_TABLE
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# child interpreters block-buffer stdout, as in a shell pipeline
+ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": SRC}
 
 
 def run(capsys, *argv):
@@ -248,6 +256,38 @@ def test_verify_exits_one_when_a_route_raises(capsys, monkeypatch, cold_boundary
     assert code == 1
     assert "boundary_assembly: 1 FAILED" in out
     assert "boundary_assembly_raised" in out
+
+
+# an extra family that always fails, so that verify decides on exit 1
+_FAILING_FAMILY = (
+    'checks.CHECKS += (("failing", lambda max_weight, seed: '
+    '[checks._fail("failing", {}, "injected")]),)'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, setup, code",
+    [
+        (["cohomology", "--group", "sl3", "--m1", "2", "--m2", "4"], "", 0),
+        (["euler-table", "--m1-max", "150", "--m2-max", "150"], "", 0),
+        (["verify", "--max", "2"], "", 0),
+        (["verify", "--max", "2"], _FAILING_FAMILY, 1),
+    ],
+    ids=["cohomology", "euler_table", "verify_ok", "verify_failed"],
+)
+def test_a_closed_stdout_keeps_the_exit_status(argv, setup, code):
+    script = f"import sys\nfrom sl3coh import checks, cli\n{setup}\nsys.exit(cli.main(sys.argv[1:]))"
+    # a pipe whose reader is gone before the command writes a byte
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            stdout=write, stderr=subprocess.PIPE, env=ENV, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, b"")
 
 
 def test_out_writes_a_file(capsys, tmp_path):
