@@ -131,6 +131,23 @@ class GradedProfile:
         return {(s.kind, s.k): s.mult for s in self.summands(q)}
 
 
+def _case_row(table: dict, lam: HighestWeight) -> GradedProfile:
+    """The row of a case table for the parity case of lam, evaluated at lam.
+
+    A summand is "1" for a trivial line or "form+shift" for the cusp space
+    S_k with k = form + shift, form one of m1, m2 and m1+m2; a repeated
+    summand adds to its multiplicity.
+    """
+    forms = {"m1": lam.m1, "m2": lam.m2, "m1+m2": lam.m1 + lam.m2}
+    data = {}
+    for q, summands in table[case_classifier(lam)].items():
+        data[q] = []
+        for s in summands:
+            form, _, shift = s.rpartition("+")
+            data[q].append(trivial_line() if s == "1" else cusp(forms[form] + int(shift)))
+    return GradedProfile.build(data)
+
+
 @dataclass(frozen=True, slots=True)
 class E1Term:
     """One face contribution on the E1 page.
@@ -238,37 +255,21 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     return profile
 
 
+# H^*(boundary) per parity case: degree -> summands, as _case_row reads them
+BOUNDARY_CASES = {
+    1: {0: ("1",), 4: ("1",)},
+    2: {1: ("m2+2",), 3: ("m2+2",)},
+    3: {1: ("m1+2",), 3: ("m1+2",)},
+    4: {1: ("1", "m1+2", "m2+2"), 3: ("1", "m1+2", "m2+2")},
+    5: {1: ("m1+2",), 2: ("m1+m2+3", "m1+m2+3"), 3: ("m1+2",)},
+    6: {2: ("m2+3", "m2+3", "1", "1")},
+    7: {2: ("m1+3", "m1+3", "1", "1")},
+    8: {1: ("m2+2",), 2: ("m1+m2+3", "m1+m2+3"), 3: ("m2+2",)},
+    9: {},
+}
+
+
 @lru_cache(maxsize=None)
 def case_profile(lam: HighestWeight) -> GradedProfile:
     """H^*(boundary) by the closed nine-case formula."""
-    m1, m2 = lam.m1, lam.m2
-    case = case_classifier(lam)
-    if case == 1:
-        data = {0: [trivial_line()], 4: [trivial_line()]}
-    elif case == 2:
-        data = {1: [cusp(m2 + 2)], 3: [cusp(m2 + 2)]}
-    elif case == 3:
-        data = {1: [cusp(m1 + 2)], 3: [cusp(m1 + 2)]}
-    elif case == 4:
-        block = [trivial_line(), cusp(m1 + 2), cusp(m2 + 2)]
-        data = {1: block, 3: list(block)}
-    elif case == 5:
-        data = {
-            1: [cusp(m1 + 2)],
-            2: [cusp(m1 + m2 + 3, mult=2)],
-            3: [cusp(m1 + 2)],
-        }
-    elif case == 6:
-        data = {2: [cusp(m2 + 3, mult=2), trivial_line(2)]}
-    elif case == 7:
-        data = {2: [cusp(m1 + 3, mult=2), trivial_line(2)]}
-    elif case == 8:
-        data = {
-            1: [cusp(m2 + 2)],
-            2: [cusp(m1 + m2 + 3, mult=2)],
-            3: [cusp(m2 + 2)],
-        }
-    else:
-        data = {}
-    return GradedProfile.build(data)
-
+    return _case_row(BOUNDARY_CASES, lam)

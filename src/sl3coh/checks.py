@@ -166,11 +166,13 @@ def boundary_at(lam: HighestWeight) -> Iterator[dict]:
 
 
 def identities_at(lam: HighestWeight) -> Iterator[dict]:
-    """The Eisenstein/boundary/Euler identity suite, plus duality."""
+    """The Eisenstein/boundary/Euler identity suite, H^1_Eis = 0, and duality."""
     eis, dual = eisenstein_case_profile(lam), lam.dual()
     for name, ok in _identities(lam, eis, dual).items():
         if not ok:
             yield _fail(name, _at(lam), "identity fails")
+    if eis.summands(1):
+        yield _fail("eisenstein_h1_vanishes", _at(lam), f"H^1_Eis is {eis.multiset(1)}")
     bd = case_profile(lam)
     bd_dual = case_profile(dual)
     for q in range(5):

@@ -13,13 +13,7 @@ cases (0, odd) and (odd, 0), where a single line remains undetermined.
 """
 from __future__ import annotations
 
-from .boundary import (
-    GradedProfile,
-    boundary_profile,
-    case_profile,
-    cusp,
-    trivial_line,
-)
+from .boundary import GradedProfile, _case_row, boundary_profile, case_profile
 from .euler import euler_report, sl3_euler_closed
 from .parity import case_classifier
 from .rootsystem import HighestWeight
@@ -30,29 +24,23 @@ UNDETERMINED = "UndeterminedZeroOrOne"
 GHOST_DEGREES = (0, 1, 2, 3, 4)
 
 
+# H^*_Eis per parity case, in the notation of boundary.BOUNDARY_CASES
+EISENSTEIN_CASES = {
+    1: {0: ("1",)},
+    2: {3: ("m2+2",)},
+    3: {3: ("m1+2",)},
+    4: {3: ("1", "m1+2", "m2+2")},
+    5: {2: ("m1+m2+3",), 3: ("m1+2",)},
+    6: {2: ("1", "m2+3")},
+    7: {2: ("1", "m1+3")},
+    8: {2: ("m1+m2+3",), 3: ("m2+2",)},
+    9: {},
+}
+
+
 def eisenstein_case_profile(lam: HighestWeight) -> GradedProfile:
     """The Eisenstein cohomology profile, by the closed nine-case formula."""
-    m1, m2 = lam.m1, lam.m2
-    case = case_classifier(lam)
-    if case == 1:
-        data = {0: [trivial_line()]}
-    elif case == 2:
-        data = {3: [cusp(m2 + 2)]}
-    elif case == 3:
-        data = {3: [cusp(m1 + 2)]}
-    elif case == 4:
-        data = {3: [trivial_line(), cusp(m1 + 2), cusp(m2 + 2)]}
-    elif case == 5:
-        data = {2: [cusp(m1 + m2 + 3)], 3: [cusp(m1 + 2)]}
-    elif case == 6:
-        data = {2: [trivial_line(), cusp(m2 + 3)]}
-    elif case == 7:
-        data = {2: [trivial_line(), cusp(m1 + 3)]}
-    elif case == 8:
-        data = {2: [cusp(m1 + m2 + 3)], 3: [cusp(m2 + 2)]}
-    else:
-        data = {}
-    return GradedProfile.build(data)
+    return _case_row(EISENSTEIN_CASES, lam)
 
 
 def _identities(lam: HighestWeight, eis: GradedProfile, dual: HighestWeight) -> dict:

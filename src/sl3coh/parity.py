@@ -48,6 +48,15 @@ def survivor_sets(lam: HighestWeight) -> MappingProxyType:
     return _SHARED.setdefault(tuple(sets.values()), MappingProxyType(sets))
 
 
+# the case of (m1, m2), indexed by the class m and 2 - m % 2 of each
+# coordinate: 0 for zero, 1 for odd, 2 for even > 0
+_CASES = (
+    (1, 6, 2),
+    (7, 9, 8),
+    (3, 5, 4),
+)
+
+
 def case_classifier(lam: HighestWeight) -> int:
     """The nine parity/vanishing classes of (m1, m2), numbered 1 through 9.
 
@@ -56,16 +65,4 @@ def case_classifier(lam: HighestWeight) -> int:
     9: (odd, odd).
     """
     m1, m2 = lam.m1, lam.m2
-    if m1 % 2 == 0 and m2 % 2 == 0:
-        if m1 == 0 and m2 == 0:
-            return 1
-        if m1 == 0:
-            return 2
-        if m2 == 0:
-            return 3
-        return 4
-    if m1 % 2 == 0 and m2 % 2 == 1:
-        return 6 if m1 == 0 else 5
-    if m1 % 2 == 1 and m2 % 2 == 0:
-        return 7 if m2 == 0 else 8
-    return 9
+    return _CASES[m1 and 2 - m1 % 2][m2 and 2 - m2 % 2]

@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
+from .errors import CrossCheckError
 from .rootsystem import check_weight
 
 # zeta_k^e for e = 0..k-1, as (constant, coefficient of zeta_k) tuples;
@@ -90,7 +91,7 @@ def _zeta_sum(counts: list[int], k: int) -> int:
     if len(columns) > 1:
         linear = sum(map(mul, counts, columns[1]))
         if linear:
-            raise ValueError(f"{constant} + {linear} zeta_{k} is not an integer")
+            raise CrossCheckError(f"{constant} + {linear} zeta_{k} is not an integer")
     return constant
 
 
@@ -229,7 +230,7 @@ def _h_row(m: int, k: int) -> int:
     """
     counts = _h_counts(m, k) if m >= 0 else [0] * k
     if counts[1:] != counts[:0:-1]:
-        raise ValueError(f"exponent counts {counts} of h_{m} are not symmetric")
+        raise CrossCheckError(f"exponent counts {counts} of h_{m} are not symmetric")
     return sum(map(mul, counts, _TWO_COS[k])) // 2
 
 

@@ -19,7 +19,6 @@ from sl3coh import (
     rootsystem,
     traces,
 )
-from sl3coh.boundary import TRIVIAL, GradedProfile
 from sl3coh.checks import CHECKS, run_all
 from sl3coh.eisenstein import ZERO
 from sl3coh.rootsystem import HighestWeight, WeylElement
@@ -273,31 +272,62 @@ def _replace_route(monkeypatch, clean, corrupted):
 
 
 def _case_profile_fault(monkeypatch):
-    clean = boundary.case_profile
-
-    def corrupted(lam):
-        profile = clean(lam)
-        if parity.case_classifier(lam) != 5:
-            return profile
-        # case 5 without its degree-2 block
-        kept = tuple((q, s) for q, s in profile.by_degree if q != 2)
-        return GradedProfile(by_degree=kept)
-
-    _replace_route(monkeypatch, clean, corrupted)
+    # case 5 without its degree-2 block
+    monkeypatch.delitem(boundary.BOUNDARY_CASES[5], 2)
 
 
 def _eisenstein_fault(monkeypatch):
-    clean = eisenstein.eisenstein_case_profile
+    # case 4 without its degree-3 trivial line
+    monkeypatch.setitem(eisenstein.EISENSTEIN_CASES[4], 3, ("m1+2", "m2+2"))
 
-    def corrupted(lam):
-        profile = clean(lam)
-        if parity.case_classifier(lam) != 4:
-            return profile
-        # case 4 without its degree-3 trivial line
-        data = {q: [x for x in s if x.kind != TRIVIAL] for q, s in profile.by_degree}
-        return GradedProfile.build(data)
 
-    _replace_route(monkeypatch, clean, corrupted)
+def _move_to_degree_1(monkeypatch, row, q, i):
+    # the i-th summand of degree q of a case-table row moved to degree 1
+    entries = row[q]
+    monkeypatch.setitem(row, q, entries[:i] + entries[i + 1 :])
+    monkeypatch.setitem(row, 1, row.get(1, ()) + entries[i : i + 1])
+
+
+def _eisenstein_h1_fault(case, i):
+    # H^1_Eis = 0 is the only check that sees a degree-3 summand in degree 1
+    row = eisenstein.EISENSTEIN_CASES[case]
+    return lambda monkeypatch: _move_to_degree_1(monkeypatch, row, 3, i)
+
+
+def _table_mutants():
+    # each entry of both case tables dropped, its k raised by 2 (a trivial
+    # line has none) and moved to degree 1 (unless it is there already)
+    for name, table in (
+        ("boundary", boundary.BOUNDARY_CASES),
+        ("eisenstein", eisenstein.EISENSTEIN_CASES),
+    ):
+        for case, row in table.items():
+            for q, entries in row.items():
+                for i, s in enumerate(entries):
+                    at = f"{name}-case{case}-H{q}-{i}"
+                    yield pytest.param(row, q, i, "drop", id=f"{at}-drop")
+                    if s != "1":
+                        yield pytest.param(row, q, i, "raise", id=f"{at}-raise")
+                    if q != 1:
+                        yield pytest.param(row, q, i, "move", id=f"{at}-move")
+
+
+@pytest.mark.parametrize("row, q, i, how", _table_mutants())
+def test_every_case_table_entry_is_load_bearing(
+    monkeypatch, cold_boundary_caches, row, q, i, how
+):
+    if how == "move":
+        _move_to_degree_1(monkeypatch, row, q, i)
+    else:
+        entries = list(row[q])
+        form, _, shift = entries.pop(i).rpartition("+")
+        if how == "raise":
+            entries.insert(i, f"{form}+{int(shift) + 2}")
+        monkeypatch.setitem(row, q, tuple(entries))
+    # at bound 10 every cusp space of the tables reaches S_12, the first
+    # nonzero one, so a dropped cusp space changes some dimension
+    families = dict(CHECKS)
+    assert families["identities"](10, 0) or families["boundary_assembly"](10, 0)
 
 
 def _symbolic_cell_fault(monkeypatch):
@@ -424,6 +454,13 @@ def _by_family(report):
         (_case_profile_fault, "identities", "boundary_duality", True),
         (_case_profile_fault, "identities", "eisenstein_inside_boundary", True),
         (_eisenstein_fault, "identities", "chi_eis_equals_chi_h", True),
+        (_eisenstein_h1_fault(2, 0), "identities", "eisenstein_h1_vanishes", False),
+        (_eisenstein_h1_fault(3, 0), "identities", "eisenstein_h1_vanishes", False),
+        (_eisenstein_h1_fault(4, 0), "identities", "eisenstein_h1_vanishes", True),
+        (_eisenstein_h1_fault(4, 1), "identities", "eisenstein_h1_vanishes", True),
+        (_eisenstein_h1_fault(4, 2), "identities", "eisenstein_h1_vanishes", True),
+        (_eisenstein_h1_fault(5, 0), "identities", "eisenstein_h1_vanishes", True),
+        (_eisenstein_h1_fault(8, 0), "identities", "eisenstein_h1_vanishes", True),
         (_symbolic_cell_fault, "euler_routes", "euler_cell_vs_closed", True),
         (_torsion_class_fault, "euler_routes", "sl3_euler_wall_vs_closed", True),
         (_gl2_euler_fault, "gl2_routes", "gl2_euler_wall_vs_closed", False),
@@ -452,6 +489,13 @@ def _by_family(report):
         "case_profile_duality",
         "case_profile_eisenstein_inside",
         "eisenstein_case_profile",
+        "eisenstein_h1_case2",
+        "eisenstein_h1_case3",
+        "eisenstein_h1_case4_line",
+        "eisenstein_h1_case4_m1",
+        "eisenstein_h1_case4_m2",
+        "eisenstein_h1_case5",
+        "eisenstein_h1_case8",
         "symbolic_cell",
         "torsion_class",
         "gl2_euler",
@@ -517,6 +561,13 @@ def _gt_zeta_fault(monkeypatch):
     _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: (m1, m2, k) == (2, 2, 3), 1)
 
 
+def test_a_zeta_sum_outside_the_integers_raises(monkeypatch):
+    # a broken route, not a bad argument
+    _gt_zeta_fault(monkeypatch)
+    with pytest.raises(CrossCheckError, match="^0 \\+ 1 zeta_3 is not an integer$"):
+        traces.gt_trace(2, 2, 0, 3)
+
+
 def _h_counts_asymmetry_fault(monkeypatch):
     # one more monomial at exponent 1 and none at -1: h_m would not be real
     clean = traces._h_counts
@@ -556,7 +607,11 @@ def test_gl2_torsion_sum_outside_the_integers_raises(monkeypatch):
             "CrossCheckError: torsion sum at HighestWeight(m1=0, m2=0, m3=None) "
             "is 5/4, not an integer",
         ),
-        (_gt_zeta_fault, "trace_routes", "ValueError: 0 + 1 zeta_3 is not an integer"),
+        (
+            _gt_zeta_fault,
+            "trace_routes",
+            "CrossCheckError: 0 + 1 zeta_3 is not an integer",
+        ),
         (
             _gl2_class_weight_fault,
             "gl2_routes",
@@ -565,7 +620,7 @@ def test_gl2_torsion_sum_outside_the_integers_raises(monkeypatch):
         (
             _h_counts_asymmetry_fault,
             "trace_routes",
-            "ValueError: exponent counts [1, 1, 0] of h_0 are not symmetric",
+            "CrossCheckError: exponent counts [1, 1, 0] of h_0 are not symmetric",
         ),
     ],
     ids=["torsion_sum", "zeta_sum", "gl2_torsion_sum", "h_counts_symmetry"],
