@@ -3,8 +3,8 @@
 Every quantity the package computes has at least two independent routes.
 A check family is one per-weight comparison (an `*_at` function yielding
 failure records, each naming the offending weight and check) run by one
-shared sweep over its domain; the seeded spot checks rerun the euler,
-boundary and identity comparisons at weights beyond the sweep bound.
+shared sweep over its domain; the seeded spot checks rerun the trace,
+euler, boundary and identity comparisons at weights beyond the sweep bound.
 """
 from __future__ import annotations
 
@@ -232,13 +232,13 @@ def kostant(max_weight: int, seed: int) -> list[dict]:
 
 
 def random_spots(max_weight: int, seed: int) -> list[dict]:
-    """The euler, boundary and identity comparisons at seeded large weights."""
+    """The trace, euler, boundary and identity comparisons at seeded large weights."""
     draw = random.Random(seed).randrange
     top = 12 * max(max_weight, 1)
     spots = [HighestWeight(draw(top), draw(top)) for _ in range(SPOT_COUNT)]
     return [
         _fail(f["check"], {**f["params"], "spot": True}, f["detail"])
-        for f in _sweep(spots, euler_at, boundary_at, identities_at)
+        for f in _sweep(spots, traces_at, euler_at, boundary_at, identities_at)
     ]
 
 

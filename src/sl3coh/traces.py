@@ -6,24 +6,27 @@ highest weight (m1, m2, m3):
 
 * gt_trace: the triple sum over the integral basis of the module, each
   basis vector contributing zeta_k^(2q - p1 - p2).  The basis is counted
-  per residue class of the exponent by closed sums over arithmetic
-  progressions, and the trace is sum_e count_e zeta_k^e, a rational
-  integer; O(k^2) per call.
+  per residue class of the exponent: the pairs (p1, p2) form a box, and
+  the count over it is three evaluations of a cubic read from a table
+  built once at import by prefix sums over residues.  The trace is
+  sum_e count_e zeta_k^e, a rational integer.
 * closed_trace: periodicity tables in (m1 mod k, m2 mod k), plus the
-  symbolic k = 2 form; O(1) per call.
+  symbolic k = 2 form.
 * weyl_det_trace: a 2x2 determinant in complete homogeneous symmetric sums
   of the eigenvalues (the one-row traces), with H_{-1} = 0.  Each one-row
-  trace counts monomials per residue class of the exponent, again by
-  closed progression sums; O(k) per call.
+  trace counts monomials per residue class of the exponent by evaluating
+  one row of its own import-time table, a quadratic in m // 2k.
 
-None of the three costs more as the weight grows.  All three are
-independent implementations: gt_trace and weyl_det_trace count basis
-vectors or monomials and never read the tables M3/M4/M6 or call
-closed_trace, and weyl_det_trace sums its symmetric counts against its own
-table of 2 cos(2 pi e / k), not gt_trace's powers of zeta_k, so the
-verification suite and the acceptance tests can pin them against each
-other.  All arithmetic is on Python integers.  Traces do not depend on m3
-for determinant-one elements, so the closed and determinant routes take
+Each call reads a fixed number of table rows and does a fixed number of
+integer operations per exponent, so none of the three costs more as the
+weight grows.  All three are independent implementations: gt_trace and
+weyl_det_trace count basis vectors or monomials, each from its own table,
+and never read the tables M3/M4/M6 or call closed_trace, and
+weyl_det_trace sums its symmetric counts against its own table of
+2 cos(2 pi e / k), not gt_trace's powers of zeta_k, so the verification
+suite and the acceptance tests can pin them against each other.  All
+arithmetic is on Python integers.  Traces do not depend on m3 for
+determinant-one elements, so the closed and determinant routes take
 (m1, m2) only.
 """
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
 from .errors import CrossCheckError
 from .rootsystem import check_weight
@@ -99,75 +102,79 @@ def gt_trace(m1: int, m2: int, m3: int, k: int) -> int:
     """Trace of the order-k element via the triple sum, exactly.
 
     The summand zeta_k^(2q - p1 - p2) only depends on d = p1 - p2 and on
-    q - p2, so the triple sum collapses to a sum over d of (number of
-    (p1, p2) pairs at distance d) times (sum over one inner run).  Both
-    factors come from elementary interval counting and are linear in d on
-    arithmetic progressions d = first + k t, so each residue class of the
-    exponent is a closed sum over t.  Cost O(k^2), whatever the weight.
+    q - p2, so the basis is counted per residue class of the exponent by
+    three reads of a table built once at import; the trace is
+    sum_e count_e zeta_k^e.  The same cost whatever the weight.
     """
     check_weight(m1, m2, m3)
     _check_order(k)
     return _zeta_sum(_gt_counts(m1, m2, m3, k), k)
 
 
-def _inner_runs(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per f = d mod k, the (exponent mod k, count) pairs of the run at d = f.
+def _gt_prefix() -> dict[tuple[int, int], tuple[int, ...]]:
+    """Per (k, r), the cubic G(k Q + r) = sum_{i < kQ + r} sum_{d < i} run(d).
 
-    The inner run over j = q - p2 in [0, d] has exponent 2j - d, whose
-    pattern repeats with period k / gcd(2, k); residue r < period occurs
-    (d - r) // period + 1 times, which is 0 when r > d.
+    run(d)[e] counts the j in [0, d] with 2j - d = e mod k, the inner run
+    of the triple sum.  Moving d up by k adds a step that depends only on
+    d mod k, run(d + k) = run(d) + step(d mod k), so with prefix sums over
+    the residues R_p, I_p of run and step and RR_p, II_p of those,
+    G(kQ + r) = k I_k C(Q, 3) + (k R_k + II_k + r I_k) C(Q, 2)
+    + (RR_k + r R_k + II_r) Q + RR_r.  A row holds those four coefficients
+    for e = 0, then for e = 1, and so on.
     """
-    period = k // 2 if k % 2 == 0 else k
-    return tuple(
-        tuple(((2 * r - f) % k, (f - r) // period + 1) for r in range(period))
-        for f in range(k)
-    )
+    rows = {}
+    for k in (2, 3, 4, 6):
+        runs, run = [], [0] * k
+        for d in range(2 * k):
+            # the j < d keep their exponents 2j - (d - 1), each moved down
+            # by one, and j = d adds the exponent d
+            run = run[1:] + run[:1]
+            run[d % k] += 1
+            runs.append(run)
+        # per exponent, (R_p, I_p, RR_p, II_p) for p = 0..k
+        sums = [[(0, 0, 0, 0)] * k]
+        for f in range(k):
+            sums.append(
+                [
+                    (s + x, i + y - x, ss + s, ii + i)
+                    for (s, i, ss, ii), x, y in zip(sums[-1], runs[f], runs[f + k])
+                ]
+            )
+        for r in range(k):
+            row = []
+            for (s, i, ss, ii), (_, _, ss_r, ii_r) in zip(sums[k], sums[r]):
+                row += (k * i, k * s + ii + r * i, ss + r * s + ii_r, ss_r)
+            rows[k, r] = tuple(row)
+    return rows
 
 
-_INNER_RUNS = {k: _inner_runs(k) for k in (2, 3, 4, 6)}
+_GT_PREFIX = _gt_prefix()
 
 
 def _gt_counts(m1: int, m2: int, m3: int, k: int) -> list[int]:
-    """Basis vectors of the (m1, m2, m3) module per exponent mod k."""
-    lo1, hi1 = m2 + m3, m1 + m2 + m3
-    lo2, hi2 = m3, m2 + m3
-    # moving d up by k adds k / period = gcd(2, k) to every run count
-    step = 2 if k % 2 == 0 else 1
-    # pairs(d) = min(hi2, hi1 - d) - max(lo2, lo1 - d) + 1 is linear in d,
-    # alpha + beta d, between its breaks at d = hi1 - hi2 = m1 and
-    # d = lo1 - lo2 = m2
-    low, high = (m1, m2) if m1 <= m2 else (m2, m1)
-    # xs[f] sums pairs(d), ys[f] sums (d // k) pairs(d), over d = f mod k
-    xs, ys = [0] * k, [0] * k
-    for a, b in ((0, low), (low + 1, high), (high + 1, m1 + m2)):
-        alpha, beta = (hi2, 0) if b <= m1 else (hi1, -1)
-        if b <= m2:
-            alpha, beta = alpha - lo1 + 1, beta + 1
-        else:
-            alpha -= lo2 - 1
-        q = beta * k
-        # on d = first + k t, t = 0..n-1, pairs(d) = p + q t; with
-        # first = k j + f, d // k = j + t.  j and f step along with first.
-        j, f = divmod(a, k)
-        for first in range(a, min(a + k, b + 1)):
-            n = (b - first) // k + 1
-            s1 = n * (n - 1) // 2
-            p = alpha + beta * first
-            x = p * n + q * s1
-            xs[f] += x
-            # sum_t (j + t)(p + q t), with sum_t t^2 = s1 (2n - 1) / 3
-            ys[f] += j * x + p * s1 + q * (s1 * (2 * n - 1) // 3)
-            f += 1
-            if f == k:
-                j, f = j + 1, 0
-    # at d = k J + f the run count of a residue is its count at d = f plus
-    # step J, so the residue gains count x + step y
-    counts = [0] * k
-    for runs, x, y in zip(_INNER_RUNS[k], xs, ys):
-        y *= step
-        for e, count in runs:
-            counts[e] += count * x + y
-    return counts
+    """Basis vectors of the (m1, m2, m3) module per exponent mod k.
+
+    The interlacing bounds of lambda = (m1 + m2 + m3, m2 + m3, m3) make the
+    pairs (p1, p2) a box: P = p1 - lambda2 < a and R = lambda2 - p2 < b.
+    The inner run j = q - p2 in [0, P + R] depends on d = P + R only, and
+    the sum of run(P + R) over the box is G(a + b) - G(a) - G(b).
+    """
+    lam1, lam2, lam3 = m1 + m2 + m3, m2 + m3, m3
+    a, b = lam1 - lam2 + 1, lam2 - lam3 + 1
+    prefix = []
+    for n in (a + b, a, b):
+        q, r = divmod(n, k)
+        pairs = q * (q - 1) // 2
+        triples = pairs * (q - 2) // 3
+        row = iter(_GT_PREFIX[k, r])
+        prefix.append(
+            [
+                c3 * triples + c2 * pairs + c1 * q + c0
+                for c3, c2, c1, c0 in zip(row, row, row, row)
+            ]
+        )
+    whole, left, right = prefix
+    return list(map(sub, map(sub, whole, left), right))
 
 
 # trace periodicity tables, indexed [m1 mod k][m2 mod k]
@@ -225,8 +232,7 @@ def _h_row(m: int, k: int) -> int:
     """Complete homogeneous symmetric sum h_m(1, zeta_k, zeta_k^-1).
 
     h_m = 0 for m < 0.  The counts at e and -e are equal, so h_m is the
-    rational integer sum_e counts[e] 2 cos(2 pi e / k) / 2.  Cost O(k),
-    whatever m.
+    rational integer sum_e counts[e] 2 cos(2 pi e / k) / 2.
     """
     counts = _h_counts(m, k) if m >= 0 else [0] * k
     if counts[1:] != counts[:0:-1]:
@@ -234,24 +240,44 @@ def _h_row(m: int, k: int) -> int:
     return sum(map(mul, counts, _TWO_COS[k])) // 2
 
 
+def _h_rows() -> dict[tuple[int, int], tuple[int, ...]]:
+    """Per (k, r), the quadratic count_e(2k M + r) = c2 C(M, 2) + c1 M + c0.
+
+    Exactly (m - |u|) // 2 + 1 monomials have b - c = u, for |u| <= m.
+    Each u is once v + 2k t (v >= 0) or v - 2k t (v < 0) for some t >= 0
+    and -2k <= v < 2k, so |u| = |v| + 2k t and u = v mod k.  With
+    m = 2k M + r, |u| <= m for t < M + [|v| <= r], and each term is
+    k (M - t) + h with h = (r - |v|) // 2 + 1, so the progression of v sums
+    to k C(M, 2) + (k + h) M + max(h, 0).  A row holds c2, c1, c0 for
+    e = 0, then for e = 1, and so on.
+    """
+    rows = {}
+    for k in (2, 3, 4, 6):
+        for r in range(2 * k):
+            row = [0] * (3 * k)
+            for v in range(-2 * k, 2 * k):
+                half = (r - abs(v)) // 2 + 1
+                e = 3 * (v % k)
+                row[e] += k
+                row[e + 1] += k + half
+                if half > 0:
+                    row[e + 2] += half
+            rows[k, r] = tuple(row)
+    return rows
+
+
+_H_ROWS = _h_rows()
+
+
 def _h_counts(m: int, k: int) -> list[int]:
     """Monomials x^a y^b z^c of degree m >= 0 per exponent b - c mod k.
 
-    Exactly (m - u) // 2 + 1 monomials have b - c = u, and as many have
-    b - c = -u, for 0 <= u <= m.  On u = s + 2k t that count is linear in
-    t, so each residue s mod 2k is one closed sum, folded onto the
-    exponents +s and -s mod k.
+    One row of _H_ROWS, read at m mod 2k and evaluated at M = m // 2k.
     """
-    counts = [0] * k
-    for s in range(min(2 * k, m + 1)):
-        n = (m - s) // (2 * k) + 1
-        # sum of (m - s) // 2 + 1 - k t over t = 0..n-1
-        weight = n * ((m - s) // 2 + 1) - k * (n * (n - 1) // 2)
-        counts[s % k] += weight
-        counts[-s % k] += weight
-    # u = 0 was folded twice
-    counts[0] -= m // 2 + 1
-    return counts
+    big, r = divmod(m, 2 * k)
+    pairs = big * (big - 1) // 2
+    row = iter(_H_ROWS[k, r])
+    return [c2 * pairs + c1 * big + c0 for c2, c1, c0 in zip(row, row, row)]
 
 
 def weyl_det_trace(m1: int, m2: int, k: int) -> int:

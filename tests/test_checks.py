@@ -385,6 +385,25 @@ def _gt_m3_fault(monkeypatch):
     _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: (m3, k) == (1, 3))
 
 
+def _gt_beyond_bound_fault(monkeypatch):
+    # wrong only past the sweep bound of run_all(6): the spots must see it
+    _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: k == 3 and m1 > 6)
+
+
+def _gt_table_fault(monkeypatch):
+    # the Q coefficient of G(3 Q + 2) at exponent 0 one too high
+    row = list(traces._GT_PREFIX[3, 2])
+    row[2] += 1
+    monkeypatch.setitem(traces._GT_PREFIX, (3, 2), tuple(row))
+
+
+def _h_table_fault(monkeypatch):
+    # one more monomial at exponent 0 of h_m for k = 6 and m = 1 mod 12
+    row = list(traces._H_ROWS[6, 1])
+    row[2] += 1
+    monkeypatch.setitem(traces._H_ROWS, (6, 1), tuple(row))
+
+
 def _survivor_parity_fault(monkeypatch):
     # the rule without its "n even" clause
     _replace_route(
@@ -466,8 +485,12 @@ def _by_family(report):
         (_gl2_euler_fault, "gl2_routes", "gl2_euler_wall_vs_closed", False),
         (_sl2_euler_fault, "gl2_routes", "sl2_additivity", False),
         (_cusp_dimension_fault, "gl2_routes", "gl2_h1_dimension", False),
-        (_zeta_table_fault, "trace_routes", "gt_trace_vs_closed_trace", False),
-        (_gt_m3_fault, "trace_routes", "gt_trace_m3_independence", False),
+        (_zeta_table_fault, "trace_routes", "gt_trace_vs_closed_trace", True),
+        (_gt_m3_fault, "trace_routes", "gt_trace_m3_independence", True),
+        (_gt_beyond_bound_fault, "random_spots", "gt_trace_vs_closed_trace", True),
+        (_gt_beyond_bound_fault, "random_spots", "gt_trace_vs_weyl_det_trace", True),
+        (_gt_table_fault, "trace_routes", "gt_trace_vs_closed_trace", True),
+        (_h_table_fault, "trace_routes", "gt_trace_vs_weyl_det_trace", True),
         (_survivor_parity_fault, "survivors", "survivor_parity", False),
         (
             _survivor_a0_fault,
@@ -503,6 +526,10 @@ def _by_family(report):
         "cusp_dimension",
         "zeta_table",
         "gt_m3",
+        "gt_beyond_bound_closed",
+        "gt_beyond_bound_weyl_det",
+        "gt_table",
+        "h_table",
         "survivor_parity",
         "survivor_a0",
         "ghost_rule",
@@ -519,7 +546,7 @@ def test_each_family_fails_when_its_route_is_corrupted(
     records = _by_family(report)
     names = {f["check"] for f in records[family]}
     assert check in names
-    # spot checks run the euler, boundary and identity comparisons
+    # spot checks run the trace, euler, boundary and identity comparisons
     spots = records["random_spots"]
     assert all(
         f["params"].get("spot") is True or f["check"] == "random_spots_raised"

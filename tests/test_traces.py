@@ -251,6 +251,40 @@ def test_h_row_matches_monomial_enumeration(m, k):
     assert traces._h_row(m, k) == _h_row_by_monomials(m, k)
 
 
+# test-only copy of the progression form of _h_counts: one closed sum per
+# residue s mod 2k of u = b - c, folded onto the exponents +s and -s
+def _h_counts_by_progression(m, k):
+    counts = [0] * k
+    for s in range(min(2 * k, m + 1)):
+        n = (m - s) // (2 * k) + 1
+        weight = n * ((m - s) // 2 + 1) - k * (n * (n - 1) // 2)
+        counts[s % k] += weight
+        counts[-s % k] += weight
+    counts[0] -= m // 2 + 1
+    return counts
+
+
+@given(st.integers(min_value=0, max_value=400), st.sampled_from(TRACE_ORDERS))
+def test_h_counts_match_the_progression_loop(m, k):
+    assert traces._h_counts(m, k) == _h_counts_by_progression(m, k)
+
+
+@pytest.mark.parametrize("k", TRACE_ORDERS)
+def test_counts_match_their_loops_near_10_to_the_12(k):
+    # every residue cell of each table: m mod 2k for the h rows, and
+    # (m1 mod k, m2 mod k) for the gt rows, with small and large partners
+    big = 10**12
+    for r in range(2 * k):
+        assert traces._h_counts(big + r, k) == _h_counts_by_progression(big + r, k)
+    for a in range(k):
+        for b in range(k):
+            for m1, m2 in ((big + a, big + b), (big + a, b), (a, big + b)):
+                for m3 in (-3, 0, 2):
+                    assert traces._gt_counts(m1, m2, m3, k) == _gt_counts_per_piece(
+                        m1, m2, m3, k
+                    )
+
+
 # the piece edges of pairs(d): m1 = m2, min(m1, m2) < period,
 # m1 + m2 < period, and a zero coordinate
 _EDGE_WEIGHTS = [(m, m) for m in (0, 1, 2, 5, 6, 7, 37)] + [
