@@ -8,12 +8,18 @@ cusp forms plus at most one Eisenstein line.
 Cusp form dimensions are the classical level-one ones, dim S_2 = 0.  The
 residual value dim S_2 = -1, which makes the SL3 Euler formulas uniform,
 lives in euler._dim_s, next to the formulas that use it.
+
+The closed forms are periodic in m mod 12 up to a linear term: each reads
+one hand-typed row of six constants, indexed by the even residue
+(m mod 12) // 2.  The six-term torsion sum reads its class weights from
+one table as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import CrossCheckError
 
@@ -33,6 +39,14 @@ class GL2Weight:
             raise ValueError(f"a and n must have equal parity, got ({self.a}, {self.n})")
 
 
+# the constant terms of the closed forms, per even residue (m mod 12) // 2:
+# dim S_(m+2) - m // 12, chi_h(GL2(Z), Sym^m tensor det^t) + m // 12 for
+# t = 0, 1, and chi_h(SL2(Z), Sym^m) + 2 (m // 12)
+_CUSP_SHIFT = (-1, 0, 0, 0, 0, 1)
+_GL2_EULER = ((1, 0, 0, 0, 0, -1), (0, -1, -1, -1, -1, -2))
+_SL2_EULER = (1, -1, -1, -1, -1, -3)
+
+
 # typed: a float k must miss the entry of the equal int and raise
 @lru_cache(maxsize=None, typed=True)
 def dim_cusp_forms(k: int) -> int:
@@ -44,11 +58,7 @@ def dim_cusp_forms(k: int) -> int:
     if k % 2 != 0 or k == 2:
         return 0
     ell, i = divmod(k - 2, 12)
-    if i == 0:
-        return ell - 1
-    if i == 10:
-        return ell + 1
-    return ell
+    return ell + _CUSP_SHIFT[i // 2]
 
 
 def _check_sym(m: int, det_twist: int = 0) -> None:
@@ -68,17 +78,7 @@ def gl2_euler(m: int, det_twist: int) -> int:
     if m % 2 != 0:
         return 0
     ell, k = divmod(m, 12)
-    if det_twist == 0:
-        if k == 0:
-            return -ell + 1
-        if k == 10:
-            return -ell - 1
-        return -ell
-    if k == 0:
-        return -ell
-    if k == 10:
-        return -ell - 2
-    return -ell - 1
+    return -ell + _GL2_EULER[det_twist][k // 2]
 
 
 def sl2_euler(m: int) -> int:
@@ -87,11 +87,20 @@ def sl2_euler(m: int) -> int:
     if m % 2 != 0:
         return 0
     ell, k = divmod(m, 12)
-    if k == 0:
-        return -2 * ell + 1
-    if k == 10:
-        return -2 * ell - 3
-    return -2 * ell - 1
+    return -2 * ell + _SL2_EULER[k // 2]
+
+
+# the rational weight of each conjugacy class of finite-order elements of
+# GL2(Z), in gl2_euler_wall's order: 1, -1, the reflection sigma, and the
+# classes of order 3, 4 and 6
+_GL2_CLASS_WEIGHTS = (
+    Fraction(-1, 24),
+    Fraction(-1, 24),
+    Fraction(1, 2),
+    Fraction(1, 6),
+    Fraction(1, 4),
+    Fraction(1, 6),
+)
 
 
 def gl2_euler_wall(m: int, det_twist: int) -> int:
@@ -102,20 +111,15 @@ def gl2_euler_wall(m: int, det_twist: int) -> int:
     fractions must be an integer.
     """
     _check_sym(m, det_twist)
-    tr_id = m + 1
-    tr_minus = (-1) ** m * (m + 1)
-    tr_sigma = ((-1) ** det_twist if m % 2 == 0 else 0)
-    tr_3 = (1, -1, 0)[m % 3]
-    tr_4 = (1, 0, -1, 0)[m % 4]
-    tr_6 = (1, 1, 0, -1, -1, 0)[m % 6]
-    total = (
-        Fraction(-1, 24) * tr_id
-        + Fraction(-1, 24) * tr_minus
-        + Fraction(1, 2) * tr_sigma
-        + Fraction(1, 6) * tr_3
-        + Fraction(1, 4) * tr_4
-        + Fraction(1, 6) * tr_6
+    traces = (
+        m + 1,
+        (-1) ** m * (m + 1),
+        (-1) ** det_twist if m % 2 == 0 else 0,
+        (1, -1, 0)[m % 3],
+        (1, 0, -1, 0)[m % 4],
+        (1, 1, 0, -1, -1, 0)[m % 6],
     )
+    total = sum(map(mul, _GL2_CLASS_WEIGHTS, traces))
     if total.denominator != 1:
         raise CrossCheckError(
             f"GL2 torsion sum at m={m}, det_twist={det_twist} is {total}"

@@ -8,14 +8,16 @@ highest weight (m1, m2, m3):
   basis vector contributing zeta_k^(2q - p1 - p2).  The basis is counted
   per residue class of the exponent: the pairs (p1, p2) form a box, and
   the count over it is three evaluations of a cubic read from a table
-  built once at import by prefix sums over residues.  The trace is
-  sum_e count_e zeta_k^e, a rational integer.
+  built once at import, as forward differences of the cubic tabulated
+  from its definition.  The trace is sum_e count_e zeta_k^e, a rational
+  integer.
 * closed_trace: periodicity tables in (m1 mod k, m2 mod k), plus the
   symbolic k = 2 form.
 * weyl_det_trace: a 2x2 determinant in complete homogeneous symmetric sums
   of the eigenvalues (the one-row traces), with H_{-1} = 0.  Each one-row
   trace counts monomials per residue class of the exponent by evaluating
-  one row of its own import-time table, a quadratic in m // 2k.
+  one row of its own import-time table, a quadratic in m // 2k whose
+  coefficients are forward differences of the tabulated monomial counts.
 
 Each call reads a fixed number of table rows and does a fixed number of
 integer operations per exponent, so none of the three costs more as the
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import CrossCheckError
 from .rootsystem import check_weight
@@ -115,35 +117,27 @@ def _gt_prefix() -> dict[tuple[int, int], tuple[int, ...]]:
     """Per (k, r), the cubic G(k Q + r) = sum_{i < kQ + r} sum_{d < i} run(d).
 
     run(d)[e] counts the j in [0, d] with 2j - d = e mod k, the inner run
-    of the triple sum.  Moving d up by k adds a step that depends only on
-    d mod k, run(d + k) = run(d) + step(d mod k), so with prefix sums over
-    the residues R_p, I_p of run and step and RR_p, II_p of those,
-    G(kQ + r) = k I_k C(Q, 3) + (k R_k + II_k + r I_k) C(Q, 2)
-    + (RR_k + r R_k + II_r) Q + RR_r.  A row holds those four coefficients
-    for e = 0, then for e = 1, and so on.
+    of the triple sum.  On each residue r, G is cubic in Q, so its
+    coefficients on C(Q, 3), C(Q, 2), Q and 1 are its forward differences
+    at n = r, r + k, r + 2k and r + 3k, read off G tabulated below 4k.  A
+    row holds those four coefficients for e = 0, then for e = 1, and so on.
     """
     rows = {}
     for k in (2, 3, 4, 6):
-        runs, run = [], [0] * k
-        for d in range(2 * k):
+        run, inner, outer, table = [0] * k, [0] * k, [0] * k, []
+        for d in range(4 * k):
+            # outer is G(d), inner the sum of run(d') over d' < d
+            table.append(outer)
+            outer = list(map(add, outer, inner))
             # the j < d keep their exponents 2j - (d - 1), each moved down
             # by one, and j = d adds the exponent d
             run = run[1:] + run[:1]
             run[d % k] += 1
-            runs.append(run)
-        # per exponent, (R_p, I_p, RR_p, II_p) for p = 0..k
-        sums = [[(0, 0, 0, 0)] * k]
-        for f in range(k):
-            sums.append(
-                [
-                    (s + x, i + y - x, ss + s, ii + i)
-                    for (s, i, ss, ii), x, y in zip(sums[-1], runs[f], runs[f + k])
-                ]
-            )
+            inner = list(map(add, inner, run))
         for r in range(k):
             row = []
-            for (s, i, ss, ii), (_, _, ss_r, ii_r) in zip(sums[k], sums[r]):
-                row += (k * i, k * s + ii + r * i, ss + r * s + ii_r, ss_r)
+            for g0, g1, g2, g3 in zip(*table[r::k]):
+                row += (g3 - 3 * g2 + 3 * g1 - g0, g2 - 2 * g1 + g0, g1 - g0, g0)
             rows[k, r] = tuple(row)
     return rows
 
@@ -243,25 +237,25 @@ def _h_row(m: int, k: int) -> int:
 def _h_rows() -> dict[tuple[int, int], tuple[int, ...]]:
     """Per (k, r), the quadratic count_e(2k M + r) = c2 C(M, 2) + c1 M + c0.
 
-    Exactly (m - |u|) // 2 + 1 monomials have b - c = u, for |u| <= m.
-    Each u is once v + 2k t (v >= 0) or v - 2k t (v < 0) for some t >= 0
-    and -2k <= v < 2k, so |u| = |v| + 2k t and u = v mod k.  With
-    m = 2k M + r, |u| <= m for t < M + [|v| <= r], and each term is
-    k (M - t) + h with h = (r - |v|) // 2 + 1, so the progression of v sums
-    to k C(M, 2) + (k + h) M + max(h, 0).  A row holds c2, c1, c0 for
-    e = 0, then for e = 1, and so on.
+    Exactly (m - |u|) // 2 + 1 monomials have b - c = u, for |u| <= m, so
+    going from degree m - 2 to m every u with |u| <= m gains one monomial.
+    On each residue r, count_e is quadratic in M, so c2, c1 and c0 are its
+    forward differences at M = 0, read off count_e tabulated below 6k.  A
+    row holds c2, c1, c0 for e = 0, then for e = 1, and so on.
     """
     rows = {}
     for k in (2, 3, 4, 6):
+        # gain[e] counts the u = e mod k with |u| <= m
+        gain, count = [0] * k, {-2: [0] * k, -1: [0] * k}
+        for m in range(6 * k):
+            gain[m % k] += 1
+            if m:
+                gain[-m % k] += 1
+            count[m] = list(map(add, count[m - 2], gain))
         for r in range(2 * k):
-            row = [0] * (3 * k)
-            for v in range(-2 * k, 2 * k):
-                half = (r - abs(v)) // 2 + 1
-                e = 3 * (v % k)
-                row[e] += k
-                row[e + 1] += k + half
-                if half > 0:
-                    row[e + 2] += half
+            row = []
+            for f0, f1, f2 in zip(count[r], count[r + 2 * k], count[r + 4 * k]):
+                row += (f2 - 2 * f1 + f0, f1 - f0, f0)
             rows[k, r] = tuple(row)
     return rows
 

@@ -1,10 +1,12 @@
 """The cross-route verification suite, and injected faults in every family."""
+import ast
 import dataclasses
 import os
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +332,53 @@ def test_every_case_table_entry_is_load_bearing(
     assert families["identities"](10, 0) or families["boundary_assembly"](10, 0)
 
 
+# the GL2 residue rows and the check that reads each
+_GL2_ROWS = {
+    "_CUSP_SHIFT": "gl2_h1_dimension",
+    "_GL2_EULER": "gl2_euler_wall_vs_closed",
+    "_SL2_EULER": "sl2_additivity",
+}
+
+
+def _gl2_row_mutants():
+    # each entry of the three rows (two for _GL2_EULER) raised and lowered by 1
+    for name, check in _GL2_ROWS.items():
+        for t in (0, 1) if name == "_GL2_EULER" else (None,):
+            for i in range(6):
+                for delta in (1, -1):
+                    at = name.strip("_").lower() + ("" if t is None else str(t))
+                    yield pytest.param(
+                        name, t, i, delta, check, id=f"{at}-{i}-{delta:+d}"
+                    )
+
+
+@pytest.fixture
+def cold_cusp_forms():
+    # dim_cusp_forms caches its values: a mutant must not meet a clean
+    # entry, nor leave its own behind
+    gl2.dim_cusp_forms.cache_clear()
+    yield
+    gl2.dim_cusp_forms.cache_clear()
+
+
+@pytest.mark.parametrize("name, t, i, delta, check", _gl2_row_mutants())
+def test_every_gl2_row_entry_is_load_bearing(
+    monkeypatch, cold_cusp_forms, name, t, i, delta, check
+):
+    def bumped(row):
+        return row[:i] + (row[i] + delta,) + row[i + 1 :]
+
+    rows = getattr(gl2, name)
+    if t is None:
+        mutant = bumped(rows)
+    else:
+        mutant = tuple(bumped(row) if s == t else row for s, row in enumerate(rows))
+    monkeypatch.setattr(gl2, name, mutant)
+    # at bound 12 the cusp row's first entry is read, at dim S_14
+    names = {f["check"] for f in dict(CHECKS)["gl2_routes"](12, 0)}
+    assert check in names
+
+
 def _symbolic_cell_fault(monkeypatch):
     clean = euler.symbolic_cell
 
@@ -461,82 +510,141 @@ def _by_family(report):
     return out
 
 
-@pytest.mark.parametrize(
-    "fault, family, check, spot",
-    [
-        (
-            _case_profile_fault,
-            "boundary_assembly",
-            "boundary_profile_vs_case_formula",
-            True,
-        ),
-        (_case_profile_fault, "identities", "boundary_duality", True),
-        (_case_profile_fault, "identities", "eisenstein_inside_boundary", True),
-        (_eisenstein_fault, "identities", "chi_eis_equals_chi_h", True),
-        (_eisenstein_h1_fault(2, 0), "identities", "eisenstein_h1_vanishes", False),
-        (_eisenstein_h1_fault(3, 0), "identities", "eisenstein_h1_vanishes", False),
-        (_eisenstein_h1_fault(4, 0), "identities", "eisenstein_h1_vanishes", True),
-        (_eisenstein_h1_fault(4, 1), "identities", "eisenstein_h1_vanishes", True),
-        (_eisenstein_h1_fault(4, 2), "identities", "eisenstein_h1_vanishes", True),
-        (_eisenstein_h1_fault(5, 0), "identities", "eisenstein_h1_vanishes", True),
-        (_eisenstein_h1_fault(8, 0), "identities", "eisenstein_h1_vanishes", True),
-        (_symbolic_cell_fault, "euler_routes", "euler_cell_vs_closed", True),
-        (_torsion_class_fault, "euler_routes", "sl3_euler_wall_vs_closed", True),
-        (_gl2_euler_fault, "gl2_routes", "gl2_euler_wall_vs_closed", False),
-        (_sl2_euler_fault, "gl2_routes", "sl2_additivity", False),
-        (_cusp_dimension_fault, "gl2_routes", "gl2_h1_dimension", False),
-        (_zeta_table_fault, "trace_routes", "gt_trace_vs_closed_trace", True),
-        (_gt_m3_fault, "trace_routes", "gt_trace_m3_independence", True),
-        (_gt_beyond_bound_fault, "random_spots", "gt_trace_vs_closed_trace", True),
-        (_gt_beyond_bound_fault, "random_spots", "gt_trace_vs_weyl_det_trace", True),
-        (_gt_table_fault, "trace_routes", "gt_trace_vs_closed_trace", True),
-        (_h_table_fault, "trace_routes", "gt_trace_vs_weyl_det_trace", True),
-        (_survivor_parity_fault, "survivors", "survivor_parity", False),
-        (
-            _survivor_a0_fault,
-            "boundary_assembly",
-            "boundary_profile_vs_case_formula",
-            False,
-        ),
-        (_ghost_rule_fault, "ghosts", "ghost_support", False),
-        (_kostant_set_fault, "kostant", "kostant_set", False),
-        (
-            _e1_degree_fault,
-            "boundary_assembly",
-            "boundary_assembly_raised",
-            False,
-        ),
-    ],
-    ids=[
-        "case_profile",
-        "case_profile_duality",
-        "case_profile_eisenstein_inside",
-        "eisenstein_case_profile",
-        "eisenstein_h1_case2",
-        "eisenstein_h1_case3",
-        "eisenstein_h1_case4_line",
-        "eisenstein_h1_case4_m1",
-        "eisenstein_h1_case4_m2",
-        "eisenstein_h1_case5",
-        "eisenstein_h1_case8",
-        "symbolic_cell",
-        "torsion_class",
-        "gl2_euler",
-        "sl2_euler",
-        "cusp_dimension",
-        "zeta_table",
-        "gt_m3",
-        "gt_beyond_bound_closed",
-        "gt_beyond_bound_weyl_det",
-        "gt_table",
-        "h_table",
-        "survivor_parity",
-        "survivor_a0",
-        "ghost_rule",
-        "kostant_set",
-        "e1_degree",
-    ],
-)
+def _sl3_euler_closed_fault(monkeypatch):
+    # one too high wherever both coordinates are even
+    clean = euler.sl3_euler_closed
+    _replace_route(
+        monkeypatch,
+        clean,
+        lambda lam: clean(lam) + (lam.m1 % 2 == 0 and lam.m2 % 2 == 0),
+    )
+
+
+def _minimal_survivor_fault(monkeypatch):
+    # the P0 rule without its "c2 - c3 even" clause
+    def corrupted(w, lam):
+        c1, c2, _ = w.dot(lam)
+        return (c1 - c2) % 2 == 0
+
+    _replace_route(monkeypatch, parity.minimal_parabolic_survives, corrupted)
+
+
+def _levi_weight_fault(monkeypatch):
+    # n of the P1 Levi weight of s1 . lam moved by 4, every parity kept
+    _shift_dot(monkeypatch, "s1", (2, 0, 0))
+
+
+# (fault, family, check, spot): the fault makes family report check, and
+# with spot the seeded spot checks report it too
+_FAULT_ROWS = [
+    pytest.param(
+        _case_profile_fault, "boundary_assembly", "boundary_profile_vs_case_formula", True,
+        id="case_profile",
+    ),
+    pytest.param(
+        _case_profile_fault, "identities", "boundary_duality", True,
+        id="case_profile_duality",
+    ),
+    pytest.param(
+        _case_profile_fault, "identities", "eisenstein_inside_boundary", True,
+        id="case_profile_eisenstein_inside",
+    ),
+    pytest.param(
+        _eisenstein_fault, "identities", "chi_eis_equals_chi_h", True,
+        id="eisenstein_case_profile",
+    ),
+    pytest.param(
+        _eisenstein_fault, "identities", "half_boundary", True,
+        id="eisenstein_half_boundary",
+    ),
+    pytest.param(
+        _eisenstein_fault, "identities", "poincare_pair", True,
+        id="eisenstein_poincare_pair",
+    ),
+    pytest.param(
+        _eisenstein_h1_fault(2, 0), "identities", "eisenstein_h1_vanishes", False,
+        id="eisenstein_h1_case2",
+    ),
+    pytest.param(
+        _eisenstein_h1_fault(3, 0), "identities", "eisenstein_h1_vanishes", False,
+        id="eisenstein_h1_case3",
+    ),
+    pytest.param(
+        _eisenstein_h1_fault(4, 0), "identities", "eisenstein_h1_vanishes", True,
+        id="eisenstein_h1_case4_line",
+    ),
+    pytest.param(
+        _eisenstein_h1_fault(4, 1), "identities", "eisenstein_h1_vanishes", True,
+        id="eisenstein_h1_case4_m1",
+    ),
+    pytest.param(
+        _eisenstein_h1_fault(4, 2), "identities", "eisenstein_h1_vanishes", True,
+        id="eisenstein_h1_case4_m2",
+    ),
+    pytest.param(
+        _eisenstein_h1_fault(5, 0), "identities", "eisenstein_h1_vanishes", True,
+        id="eisenstein_h1_case5",
+    ),
+    pytest.param(
+        _eisenstein_h1_fault(8, 0), "identities", "eisenstein_h1_vanishes", True,
+        id="eisenstein_h1_case8",
+    ),
+    pytest.param(
+        _symbolic_cell_fault, "euler_routes", "euler_cell_vs_closed", True,
+        id="symbolic_cell",
+    ),
+    pytest.param(
+        _torsion_class_fault, "euler_routes", "sl3_euler_wall_vs_closed", True,
+        id="torsion_class",
+    ),
+    pytest.param(
+        _sl3_euler_closed_fault, "boundary_assembly", "boundary_euler_closed", True,
+        id="sl3_euler_closed",
+    ),
+    pytest.param(_gl2_euler_fault, "gl2_routes", "gl2_euler_wall_vs_closed", False, id="gl2_euler"),
+    pytest.param(_sl2_euler_fault, "gl2_routes", "sl2_additivity", False, id="sl2_euler"),
+    pytest.param(
+        _cusp_dimension_fault, "gl2_routes", "gl2_h1_dimension", False,
+        id="cusp_dimension",
+    ),
+    pytest.param(
+        _zeta_table_fault, "trace_routes", "gt_trace_vs_closed_trace", True,
+        id="zeta_table",
+    ),
+    pytest.param(_gt_m3_fault, "trace_routes", "gt_trace_m3_independence", True, id="gt_m3"),
+    pytest.param(
+        _gt_beyond_bound_fault, "random_spots", "gt_trace_vs_closed_trace", True,
+        id="gt_beyond_bound_closed",
+    ),
+    pytest.param(
+        _gt_beyond_bound_fault, "random_spots", "gt_trace_vs_weyl_det_trace", True,
+        id="gt_beyond_bound_weyl_det",
+    ),
+    pytest.param(_gt_table_fault, "trace_routes", "gt_trace_vs_closed_trace", True, id="gt_table"),
+    pytest.param(_h_table_fault, "trace_routes", "gt_trace_vs_weyl_det_trace", True, id="h_table"),
+    pytest.param(
+        _survivor_parity_fault, "survivors", "survivor_parity", False,
+        id="survivor_parity",
+    ),
+    pytest.param(
+        _minimal_survivor_fault, "survivors", "survivor_reflection", False,
+        id="minimal_survivor",
+    ),
+    pytest.param(_levi_weight_fault, "survivors", "levi_weight", False, id="levi_weight"),
+    pytest.param(
+        _survivor_a0_fault, "boundary_assembly", "boundary_profile_vs_case_formula", False,
+        id="survivor_a0",
+    ),
+    pytest.param(_ghost_rule_fault, "ghosts", "ghost_support", False, id="ghost_rule"),
+    pytest.param(_kostant_set_fault, "kostant", "kostant_set", False, id="kostant_set"),
+    pytest.param(
+        _e1_degree_fault, "boundary_assembly", "boundary_assembly_raised", False,
+        id="e1_degree",
+    ),
+]
+
+
+@pytest.mark.parametrize("fault, family, check, spot", _FAULT_ROWS)
 def test_each_family_fails_when_its_route_is_corrupted(
     monkeypatch, cold_boundary_caches, cold_h_row, fault, family, check, spot
 ):
@@ -554,6 +662,27 @@ def test_each_family_fails_when_its_route_is_corrupted(
     )
     if spot:
         assert check in {f["check"] for f in spots}
+
+
+def _registry_check_names():
+    # the constant first arguments of checks._fail, and the identity flags
+    tree = ast.parse(Path(checks.__file__).read_text(encoding="utf-8"))
+    names = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_fail"
+        and isinstance(node.args[0], ast.Constant)
+    }
+    lam = HighestWeight(0, 0)
+    eis = eisenstein.eisenstein_case_profile(lam)
+    return names | set(eisenstein._identities(lam, eis, lam.dual()))
+
+
+def test_every_check_name_fires_under_some_fault():
+    names = _registry_check_names()
+    assert {"kostant_set", "ghost_support", "poincare_pair"} <= names
+    assert names - {row.values[2] for row in _FAULT_ROWS} == set()
 
 
 def test_the_survivor_parity_fault_fires_only_survivor_parity(
@@ -608,14 +737,10 @@ def _h_counts_asymmetry_fault(monkeypatch):
 
 
 def _gl2_class_weight_fault(monkeypatch):
-    # the order-4 class of GL2(Z) weighted 1/2 instead of 1/4; its weight
-    # is an inline literal, so the fault goes through gl2's Fraction
-    def corrupted(numerator, denominator=1):
-        if (numerator, denominator) == (1, 4):
-            return Fraction(1, 2)
-        return Fraction(numerator, denominator)
-
-    monkeypatch.setattr(gl2, "Fraction", corrupted)
+    # the order-4 class of GL2(Z) weighted 1/2 instead of 1/4
+    weights = list(gl2._GL2_CLASS_WEIGHTS)
+    weights[4] = Fraction(1, 2)
+    monkeypatch.setattr(gl2, "_GL2_CLASS_WEIGHTS", tuple(weights))
 
 
 def test_gl2_torsion_sum_outside_the_integers_raises(monkeypatch):
