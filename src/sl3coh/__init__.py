@@ -8,7 +8,6 @@ that the test suite and the verify subcommand pin against each other.
 __version__ = "0.1.0"
 
 from .boundary import (
-    CohomologySummand,
     E1Term,
     GradedProfile,
     boundary_profile,

@@ -9,7 +9,9 @@ degrees 0..4.
 
 The result is also available as a closed case formula (case_profile); the
 spectral sequence assembly checks agreement by default and raises
-CrossCheckError on a mismatch.
+CrossCheckError on a mismatch.  Both give a GradedProfile, and the E1 terms
+hold the same summand shape: a pair (k, mult) is mult trivial lines when k
+is None and mult copies of the level-one cusp forms S_k otherwise.
 """
 from __future__ import annotations
 
@@ -23,112 +25,58 @@ from .gl2 import dim_cusp_forms, h1_split
 from .parity import case_classifier, survivor_sets
 from .rootsystem import P0, P1, P2, HighestWeight, restrict_to_levi
 
-TRIVIAL = "TrivialLine"
-CUSP = "Cusp"
-_KIND_ORDER = {TRIVIAL: 0, CUSP: 1}
-
-
-@dataclass(frozen=True, slots=True)
-class CohomologySummand:
-    """A multiplicity of one irreducible building block.
-
-    TrivialLine is a one-dimensional piece, Cusp carries the weight-k
-    level-one cusp forms (k in the field k).
-    """
-
-    kind: str
-    k: int | None = None
-    mult: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown summand kind {self.kind!r}")
-        if (self.kind == CUSP) != (self.k is not None):
-            raise ValueError("Cusp summands carry a weight k; others must not")
-        if type(self.mult) is not int or type(self.k) not in (int, type(None)):
-            raise TypeError(f"k and mult must be ints, got {self.k!r}, {self.mult!r}")
-        if self.mult < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.mult}")
-        if self.kind == CUSP and self.k < 2:
-            raise ValueError(f"cusp weight k must be >= 2, got {self.k}")
-
-    def dimension(self) -> int:
-        if self.kind == TRIVIAL:
-            return self.mult
-        return self.mult * dim_cusp_forms(self.k)
-
-
-def trivial_line(mult: int = 1) -> CohomologySummand:
-    return CohomologySummand(TRIVIAL, mult=mult)
-
-
-def cusp(k: int, mult: int = 1) -> CohomologySummand:
-    return CohomologySummand(CUSP, k=k, mult=mult)
-
-
 # the summands of a face term that is one invariant line
-_ONE_LINE = (trivial_line(),)
-
-
-def _order(s: CohomologySummand) -> tuple[int, int]:
-    return _KIND_ORDER[s.kind], s.k or 0
-
-
-def _merge(summands) -> tuple[CohomologySummand, ...]:
-    """Collect multiplicities and sort into the canonical order."""
-    acc: dict[tuple[str, int | None], CohomologySummand] = {}
-    for s in summands:
-        key = (s.kind, s.k)
-        seen = acc.get(key)
-        acc[key] = s if seen is None else CohomologySummand(
-            s.kind, k=s.k, mult=seen.mult + s.mult
-        )
-    return tuple(sorted(acc.values(), key=_order))
-
-
-def _dimension(summands) -> int:
-    total = 0
-    for s in summands:
-        total += s.dimension()
-    return total
+_ONE_LINE = ((None, 1),)
 
 
 @dataclass(frozen=True, slots=True)
 class GradedProfile:
-    """A graded sum of summands, degrees with no summands omitted."""
+    """A graded sum of summands, degrees with no summands omitted.
 
-    by_degree: tuple[tuple[int, tuple[CohomologySummand, ...]], ...]
+    A summand is a pair (k, mult): mult trivial lines when k is None, else
+    mult copies of the weight-k level-one cusp forms S_k.  Each degree
+    lists its trivial lines first, then its cusp summands by ascending k.
+    """
+
+    by_degree: tuple[tuple[int, tuple[tuple[int | None, int], ...]], ...]
 
     @classmethod
-    def build(cls, data: dict) -> "GradedProfile":
+    def build(cls, data: Mapping[int, Mapping[int | None, int]]) -> "GradedProfile":
+        """The profile of degree -> {k: mult}, without zero multiplicities."""
         items = []
         for q in sorted(data):
-            merged = _merge(data[q])
-            if merged:
-                items.append((q, merged))
+            # the trivial line (k None) sorts before every weight k >= 2
+            row = sorted(
+                ((k, m) for k, m in data[q].items() if m),
+                key=lambda s: -1 if s[0] is None else s[0],
+            )
+            if row:
+                items.append((q, tuple(row)))
         return cls(by_degree=tuple(items))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.by_degree)
 
-    def summands(self, q: int) -> tuple[CohomologySummand, ...]:
+    def summands(self, q: int) -> tuple[tuple[int | None, int], ...]:
         for deg, s in self.by_degree:
             if deg == q:
                 return s
         return ()
 
     def dimension(self, q: int) -> int:
-        return _dimension(self.summands(q))
+        return sum(
+            m if k is None else m * dim_cusp_forms(k) for k, m in self.summands(q)
+        )
 
     def total_dimension(self) -> int:
-        return sum(_dimension(summands) for _, summands in self.by_degree)
+        return sum(self.dimension(q) for q, _ in self.by_degree)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** q * _dimension(summands) for q, summands in self.by_degree)
+        return sum((-1) ** q * self.dimension(q) for q, _ in self.by_degree)
 
     def multiset(self, q: int) -> dict:
-        """Summand multiplicities at degree q, for order-free comparison."""
-        return {(s.kind, s.k): s.mult for s in self.summands(q)}
+        """Summand multiplicities at degree q, k -> mult."""
+        return dict(self.summands(q))
 
 
 def _case_row(table: dict, lam: HighestWeight) -> GradedProfile:
@@ -141,10 +89,11 @@ def _case_row(table: dict, lam: HighestWeight) -> GradedProfile:
     forms = {"m1": lam.m1, "m2": lam.m2, "m1+m2": lam.m1 + lam.m2}
     data = {}
     for q, summands in table[case_classifier(lam)].items():
-        data[q] = []
+        row = data[q] = {}
         for s in summands:
             form, _, shift = s.rpartition("+")
-            data[q].append(trivial_line() if s == "1" else cusp(forms[form] + int(shift)))
+            k = None if s == "1" else forms[form] + int(shift)
+            row[k] = row.get(k, 0) + 1
     return GradedProfile.build(data)
 
 
@@ -161,14 +110,7 @@ class E1Term:
     parabolic: str
     w: str
     face_degree: int
-    summands: tuple[CohomologySummand, ...]
-
-    def trivial_lines(self) -> int:
-        lines = 0
-        for s in self.summands:
-            if s.kind == TRIVIAL:
-                lines += s.mult
-        return lines
+    summands: tuple[tuple[int | None, int], ...]
 
 
 # A page is read by the one boundary_profile call that asked for it and
@@ -189,12 +131,10 @@ def e1_page(lam: HighestWeight) -> tuple[MappingProxyType, MappingProxyType]:
             if r.a == 0:
                 col0.setdefault(w.length, []).append(E1Term(p.tag, w.name, 0, _ONE_LINE))
                 continue
-            summands = [cusp(r.a + 2)]
+            summands = ((r.a + 2, 1),)
             if h1_split(r):
-                summands.append(trivial_line())
-            col0.setdefault(w.length + 1, []).append(
-                E1Term(p.tag, w.name, 1, tuple(summands))
-            )
+                summands += ((None, 1),)
+            col0.setdefault(w.length + 1, []).append(E1Term(p.tag, w.name, 1, summands))
     if not all(0 <= q <= 3 for q in (*col0, *col1)):
         raise CrossCheckError(
             f"E1 page of {lam} outside degrees 0..3: columns {col0}, {col1}"
@@ -219,7 +159,8 @@ def d1_rank(lam: HighestWeight, col0: Mapping, col1: Mapping, q: int) -> int:
         raise CrossCheckError(f"d1 of {lam} in degree {q} has {targets} targets")
     if not targets:
         return 0
-    return 1 if any(t.trivial_lines() for t in col0.get(q, ())) else 0
+    terms = col0.get(q, ())
+    return 1 if any(k is None for t in terms for k, _ in t.summands) else 0
 
 
 def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProfile:
@@ -229,21 +170,23 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     formula, or CrossCheckError is raised.
     """
     col0, col1 = e1_page(lam)
-    by_degree: dict[int, list[CohomologySummand]] = {q: [] for q in range(5)}
+    by_degree: dict[int, dict[int | None, int]] = {}
+    missed = 0
     for q in range(4):
         rank = d1_rank(lam, col0, col1, q)
-        terms = col0.get(q, ())
+        row = by_degree[q] = {}
+        for t in col0.get(q, ()):
+            for k, m in t.summands:
+                row[k] = row.get(k, 0) + m
         # quotient by the image: rank fewer of the mapping lines
-        lines = sum(t.trivial_lines() for t in terms) - rank
+        lines = row.get(None, 0) - rank
         if lines < 0:
             raise CrossCheckError(f"rank 1 with no line to map at {lam}, q={q}")
-        by_degree[q] += [s for t in terms for s in t.summands if s.kind != TRIVIAL]
-        if lines:
-            by_degree[q].append(trivial_line(lines))
+        # plus the column-1 lines d1 missed one degree down
+        row[None] = lines + missed
         # the column-1 lines d1 misses, in total degree q + 1
         missed = len(col1.get(q, ())) - rank
-        if missed:
-            by_degree[q + 1].append(trivial_line(missed))
+    by_degree[4] = {None: missed}
     profile = GradedProfile.build(by_degree)
     if cross_check:
         expected = case_profile(lam)

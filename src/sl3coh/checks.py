@@ -149,7 +149,7 @@ def boundary_at(lam: HighestWeight) -> Iterator[dict]:
     built = boundary_profile(lam, cross_check=False)
     expected = case_profile(lam)
     for q in range(5):
-        if built.multiset(q) != expected.multiset(q):
+        if built.summands(q) != expected.summands(q):
             yield _fail(
                 "boundary_profile_vs_case_formula",
                 _at(lam, q=q),

@@ -19,9 +19,8 @@ import os
 import sys
 
 from . import __version__
-from .boundary import TRIVIAL
 from .checks import run_all
-from .eisenstein import cohomology_report
+from .eisenstein import TRIVIAL, cohomology_report
 from .euler import euler_values, symbolic_table
 from .rootsystem import HighestWeight
 

@@ -18,6 +18,8 @@ from .euler import euler_report, sl3_euler_closed
 from .parity import case_classifier
 from .rootsystem import HighestWeight
 
+TRIVIAL = "TrivialLine"
+CUSP = "Cusp"
 ZERO = "Zero"
 UNDETERMINED = "UndeterminedZeroOrOne"
 
@@ -75,10 +77,15 @@ def ghost_report(lam: HighestWeight) -> dict[int, str]:
 def _profile_json(profile: GradedProfile, degrees: range) -> dict:
     return {
         str(q): [
-            {"kind": s.kind, "k": s.k, "mult": s.mult} for s in profile.summands(q)
+            {"kind": TRIVIAL if k is None else CUSP, "k": k, "mult": m}
+            for k, m in profile.summands(q)
         ]
         for q in degrees
     }
+
+
+# both profiles of a weight whose cohomology vanishes
+_NOTHING = GradedProfile(by_degree=())
 
 
 def cohomology_report(lam: HighestWeight) -> dict:
@@ -97,7 +104,7 @@ def cohomology_report(lam: HighestWeight) -> dict:
     sl3 = lam.sl3_part()
     case = case_classifier(sl3)
     if vanishes:
-        boundary = eisenstein = GradedProfile.build({})
+        boundary = eisenstein = _NOTHING
         identities = {}
         ghosts = {str(q): ZERO for q in GHOST_DEGREES}
         euler = {"chi_wall": 0, "chi_closed": 0, "table_cell": None}

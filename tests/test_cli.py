@@ -92,6 +92,70 @@ def test_cohomology_gl3_even(capsys):
     assert report["boundary"]["1"] == [{"kind": "Cusp", "k": 12, "mult": 1}]
 
 
+def _line():
+    return {"kind": "TrivialLine", "k": None, "mult": 1}
+
+
+def _cusp(k, mult=1):
+    return {"kind": "Cusp", "k": k, "mult": mult}
+
+
+def _degrees(top, summands):
+    return {str(q): summands.get(q, []) for q in range(top)}
+
+
+_CASE4 = [_line(), _cusp(1000000000004), _cusp(3000000000002)]
+_CASE4_GL3 = [_line(), _cusp(1000000000006), _cusp(6000000000002)]
+
+
+# m1 > m2, so the order by k differs from the case tables' order (m1 first)
+@pytest.mark.parametrize(
+    "argv, boundary, eisenstein",
+    [
+        pytest.param(
+            ("sl3", "3000000000000", "1000000000002"),
+            {1: _CASE4, 3: _CASE4},
+            {3: _CASE4},
+            id="case4",
+        ),
+        pytest.param(
+            ("sl3", "2000000000004", "1000000000001"),
+            {
+                1: [_cusp(2000000000006)],
+                2: [_cusp(3000000000008, 2)],
+                3: [_cusp(2000000000006)],
+            },
+            {2: [_cusp(3000000000008)], 3: [_cusp(2000000000006)]},
+            id="case5",
+        ),
+        pytest.param(
+            ("sl3", "1000000000003", "400000000002"),
+            {
+                1: [_cusp(400000000004)],
+                2: [_cusp(1400000000008, 2)],
+                3: [_cusp(400000000004)],
+            },
+            {2: [_cusp(1400000000008)], 3: [_cusp(400000000004)]},
+            id="case8",
+        ),
+        pytest.param(
+            ("gl3", "6000000000000", "1000000000004", "2000000000000"),
+            {1: _CASE4_GL3, 3: _CASE4_GL3},
+            {3: _CASE4_GL3},
+            id="gl3_case4",
+        ),
+    ],
+)
+def test_summand_order_at_large_weights(capsys, argv, boundary, eisenstein):
+    group, m1, m2, *m3 = argv
+    extra = ["--m3", *m3] if m3 else []
+    code, out = run(capsys, "cohomology", "--group", group, "--m1", m1, "--m2", m2, *extra)
+    assert code == 0
+    report = json.loads(out)
+    assert report["boundary"] == _degrees(5, boundary)
+    assert report["eisenstein"]["profile"] == _degrees(4, eisenstein)
+
+
 def test_cohomology_text_format(capsys):
     code, out = run(
         capsys, "cohomology", "--group", "sl3",

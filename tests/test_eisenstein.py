@@ -2,13 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sl3coh.boundary import (
-    CUSP,
-    TRIVIAL,
-    boundary_profile,
-    case_profile,
-    e1_page,
-)
+from sl3coh.boundary import boundary_profile, case_profile, e1_page
 from sl3coh.eisenstein import (
     GHOST_DEGREES,
     UNDETERMINED,
@@ -22,16 +16,17 @@ from sl3coh.euler import euler_report
 from sl3coh.parity import case_classifier, survivor_sets
 from sl3coh.rootsystem import HighestWeight
 
-# expected Eisenstein profiles at one representative weight per parity case
+# expected Eisenstein profiles at one representative weight per parity case,
+# written as degree -> summands (k, mult), k None for trivial lines
 PROFILES = {
-    1: ((0, 0), {0: {(TRIVIAL, None): 1}}),
-    2: ((0, 4), {3: {(CUSP, 6): 1}}),
-    3: ((4, 0), {3: {(CUSP, 6): 1}}),
-    4: ((2, 4), {3: {(TRIVIAL, None): 1, (CUSP, 4): 1, (CUSP, 6): 1}}),
-    5: ((2, 3), {2: {(CUSP, 8): 1}, 3: {(CUSP, 4): 1}}),
-    6: ((0, 3), {2: {(TRIVIAL, None): 1, (CUSP, 6): 1}}),
-    7: ((3, 0), {2: {(TRIVIAL, None): 1, (CUSP, 6): 1}}),
-    8: ((3, 2), {2: {(CUSP, 8): 1}, 3: {(CUSP, 4): 1}}),
+    1: ((0, 0), {0: ((None, 1),)}),
+    2: ((0, 4), {3: ((6, 1),)}),
+    3: ((4, 0), {3: ((6, 1),)}),
+    4: ((2, 4), {3: ((None, 1), (4, 1), (6, 1))}),
+    5: ((2, 3), {2: ((8, 1),), 3: ((4, 1),)}),
+    6: ((0, 3), {2: ((None, 1), (6, 1))}),
+    7: ((3, 0), {2: ((None, 1), (6, 1))}),
+    8: ((3, 2), {2: ((8, 1),), 3: ((4, 1),)}),
     9: ((1, 1), {}),
 }
 
@@ -42,9 +37,7 @@ def test_eisenstein_case_profiles(case):
     lam = HighestWeight(m1, m2)
     profile = eisenstein_case_profile(lam)
     assert case_classifier(lam) == case
-    assert profile.degrees() == tuple(sorted(expected))
-    for q, multiset in expected.items():
-        assert profile.multiset(q) == multiset
+    assert profile.by_degree == tuple(sorted(expected.items()))
 
 
 def test_chi_eis_pins():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl3coh import checks
-from sl3coh.boundary import CohomologySummand, cusp, trivial_line
 from sl3coh.checks import run_all
 from sl3coh.euler import SymbolicCell, _dim_s, euler_values, symbolic_cell
 from sl3coh.gl2 import (
@@ -98,11 +97,6 @@ def _cached_then_float():
         pytest.param(lambda: euler_values(3, 2.0), id="euler_values_float_bound"),
         pytest.param(lambda: symbolic_cell(1.0, 3), id="symbolic_cell_float_residue"),
         pytest.param(lambda: symbolic_cell(True, 1), id="symbolic_cell_bool_residue"),
-        pytest.param(
-            lambda: CohomologySummand("Cusp", k=12, mult=1.5), id="summand_float_mult"
-        ),
-        pytest.param(lambda: trivial_line(True), id="summand_bool_mult"),
-        pytest.param(lambda: cusp(12.0), id="summand_float_k"),
         pytest.param(
             lambda: restrict_to_levi(E, HighestWeight(2, 1), True),
             id="restrict_to_levi_bool_levi",
