@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     coh.add_argument("--m3", type=int, help="determinant power (gl3 only)")
     coh.add_argument("--format", choices=("json", "text", "md"), default="json")
     coh.add_argument("--out", help="write output to this file")
-    coh.set_defaults(fn=cmd_cohomology)
+    coh.set_defaults(fn=cmd_cohomology, error=coh.error)
 
     table = sub.add_parser("euler-table", help="Euler characteristic tables")
     table.add_argument(
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--m2-max", type=_nonneg, help="numeric sweep bound for m2")
     table.add_argument("--format", choices=("csv", "md"), default="md")
     table.add_argument("--out", help="write output to this file")
-    table.set_defaults(fn=cmd_euler_table)
+    table.set_defaults(fn=cmd_euler_table, error=table.error)
 
     verify = sub.add_parser("verify", help="run the cross-route checks")
     verify.add_argument("--max", type=_nonneg, default=60)
@@ -242,18 +242,18 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _PARSER
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # args.error is the subcommand's, so its usage line names --m3 and the rest
     if args.command == "cohomology":
         if args.group == "sl3" and args.m3 is not None:
-            parser.error("--m3 only applies to --group gl3")
+            args.error("--m3 only applies to --group gl3")
         if args.group == "gl3" and args.m3 is None:
-            parser.error("--group gl3 needs --m3")
+            args.error("--group gl3 needs --m3")
     if args.command == "euler-table":
         if args.symbolic and (args.m1_max is not None or args.m2_max is not None):
-            parser.error("--symbolic excludes --m1-max/--m2-max")
+            args.error("--symbolic excludes --m1-max/--m2-max")
         if not args.symbolic and (args.m1_max is None or args.m2_max is None):
-            parser.error("need either --symbolic or both --m1-max and --m2-max")
+            args.error("need either --symbolic or both --m1-max and --m2-max")
     return args.fn(args)
 
 

@@ -5,30 +5,29 @@ Three independent routes compute the trace of an order-k element
 highest weight (m1, m2, m3):
 
 * gt_trace: the triple sum over the integral basis of the module, each
-  basis vector contributing zeta_k^(2q - p1 - p2).  The basis is counted
-  per residue class of the exponent: the pairs (p1, p2) form a box, and
-  the count over it is three evaluations of a cubic read from a table
-  built once at import, as forward differences of the cubic tabulated
-  from its definition.  The trace is sum_e count_e zeta_k^e, a rational
-  integer.
+  basis vector contributing zeta_k^(2q - p1 - p2).  The pairs (p1, p2)
+  form a box, and the sum over it is three evaluations of a cubic per
+  coordinate of Z[zeta_k], read from a table built once at import as
+  forward differences of the sum tabulated from its definition.  A
+  nonzero zeta_k coordinate raises.
 * closed_trace: periodicity tables in (m1 mod k, m2 mod k), plus the
   symbolic k = 2 form.
 * weyl_det_trace: a 2x2 determinant in complete homogeneous symmetric sums
   of the eigenvalues (the one-row traces), with H_{-1} = 0.  Each one-row
-  trace counts monomials per residue class of the exponent by evaluating
-  one row of its own import-time table, a quadratic in m // 2k whose
-  coefficients are forward differences of the tabulated monomial counts.
+  trace evaluates one row of its own import-time table: quadratics in
+  m // 2k for 2 H_m and for count_e - count_-e, forward differences of
+  the tabulated monomial counts.  An odd 2 H_m or a nonzero difference
+  raises.
 
 Each call reads a fixed number of table rows and does a fixed number of
-integer operations per exponent, so none of the three costs more as the
-weight grows.  All three are independent implementations: gt_trace and
-weyl_det_trace count basis vectors or monomials, each from its own table,
-and never read the tables M3/M4/M6 or call closed_trace, and
-weyl_det_trace sums its symmetric counts against its own table of
-2 cos(2 pi e / k), not gt_trace's powers of zeta_k, so the verification
-suite and the acceptance tests can pin them against each other.  All
-arithmetic is on Python integers.  Traces do not depend on m3 for
-determinant-one elements, so the closed and determinant routes take
+integer operations, so none of the three costs more as the weight grows.
+All three are independent implementations: gt_trace and weyl_det_trace
+count basis vectors or monomials, each from its own table, and never read
+the tables M3/M4/M6 or call closed_trace, and weyl_det_trace's table is
+built from its own 2 cos(2 pi e / k), not gt_trace's powers of zeta_k, so
+the verification suite and the acceptance tests can pin them against each
+other.  All arithmetic is on Python integers.  Traces do not depend on m3
+for determinant-one elements, so the closed and determinant routes take
 (m1, m2) only.
 """
 from __future__ import annotations
@@ -36,23 +35,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 
 from .errors import CrossCheckError
 from .rootsystem import check_weight
 
 # zeta_k^e for e = 0..k-1, as (constant, coefficient of zeta_k) tuples;
-# k = 2 needs no zeta_k coefficient
+# k = 2 needs no zeta_k coefficient.  Only _gt_prefix reads it.
 _ZETA_POWERS = {
     2: ((1,), (-1,)),
     3: ((1, 0), (0, 1), (-1, -1)),
     4: ((1, 0), (0, 1), (-1, 0), (0, -1)),
     6: ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
 }
-
-# the same, by coefficient: _ZETA_COLUMNS[k][i][e] is coefficient i of
-# zeta_k^e
-_ZETA_COLUMNS = {k: tuple(zip(*powers)) for k, powers in _ZETA_POWERS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,42 +83,35 @@ def _check_order(k: int) -> None:
         raise ValueError(f"order must be one of 2, 3, 4, 6, got {k!r}")
 
 
-def _zeta_sum(counts: list[int], k: int) -> int:
-    """The rational integer sum_e counts[e] zeta_k^e; fails if it is not one."""
-    columns = _ZETA_COLUMNS[k]
-    constant = sum(map(mul, counts, columns[0]))
-    # phi(k) <= 2: at most one coefficient besides the constant
-    if len(columns) > 1:
-        linear = sum(map(mul, counts, columns[1]))
-        if linear:
-            raise CrossCheckError(f"{constant} + {linear} zeta_{k} is not an integer")
-    return constant
-
-
 def gt_trace(m1: int, m2: int, m3: int, k: int) -> int:
     """Trace of the order-k element via the triple sum, exactly.
 
     The summand zeta_k^(2q - p1 - p2) only depends on d = p1 - p2 and on
-    q - p2, so the basis is counted per residue class of the exponent by
-    three reads of a table built once at import; the trace is
-    sum_e count_e zeta_k^e.  The same cost whatever the weight.
+    q - p2, so the sum is three reads of a table built once at import, in
+    the basis 1, zeta_k.  The same cost whatever the weight.
     """
     check_weight(m1, m2, m3)
     _check_order(k)
-    return _zeta_sum(_gt_counts(m1, m2, m3, k), k)
+    constant, *linear = _gt_coordinates(m1, m2, m3, k)
+    # phi(k) <= 2: at most one coordinate besides the constant
+    if any(linear):
+        raise CrossCheckError(f"{constant} + {linear[0]} zeta_{k} is not an integer")
+    return constant
 
 
-def _gt_prefix() -> dict[tuple[int, int], tuple[int, ...]]:
+def _gt_prefix() -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
     """Per (k, r), the cubic G(k Q + r) = sum_{i < kQ + r} sum_{d < i} run(d).
 
     run(d)[e] counts the j in [0, d] with 2j - d = e mod k, the inner run
-    of the triple sum.  On each residue r, G is cubic in Q, so its
-    coefficients on C(Q, 3), C(Q, 2), Q and 1 are its forward differences
-    at n = r, r + k, r + 2k and r + 3k, read off G tabulated below 4k.  A
-    row holds those four coefficients for e = 0, then for e = 1, and so on.
+    of the triple sum, and G is taken at the powers of zeta_k, one
+    coordinate of Z[zeta_k] at a time.  On each residue r, each coordinate
+    is cubic in Q, so its coefficients on C(Q, 3), C(Q, 2), Q and 1 are its
+    forward differences at n = r, r + k, r + 2k and r + 3k, read off G
+    tabulated below 4k.  A row holds one such cubic for the constant, then
+    one for the zeta_k coefficient when k > 2.
     """
     rows = {}
-    for k in (2, 3, 4, 6):
+    for k, powers in _ZETA_POWERS.items():
         run, inner, outer, table = [0] * k, [0] * k, [0] * k, []
         for d in range(4 * k):
             # outer is G(d), inner the sum of run(d') over d' < d
@@ -134,41 +122,42 @@ def _gt_prefix() -> dict[tuple[int, int], tuple[int, ...]]:
             run = run[1:] + run[:1]
             run[d % k] += 1
             inner = list(map(add, inner, run))
+        coordinates = [
+            [sum(map(mul, counts, column)) for counts in table]
+            for column in zip(*powers)
+        ]
         for r in range(k):
-            row = []
-            for g0, g1, g2, g3 in zip(*table[r::k]):
-                row += (g3 - 3 * g2 + 3 * g1 - g0, g2 - 2 * g1 + g0, g1 - g0, g0)
-            rows[k, r] = tuple(row)
+            rows[k, r] = tuple(
+                (g3 - 3 * g2 + 3 * g1 - g0, g2 - 2 * g1 + g0, g1 - g0, g0)
+                for g0, g1, g2, g3 in (g[r::k] for g in coordinates)
+            )
     return rows
 
 
 _GT_PREFIX = _gt_prefix()
 
 
-def _gt_counts(m1: int, m2: int, m3: int, k: int) -> list[int]:
-    """Basis vectors of the (m1, m2, m3) module per exponent mod k.
+def _gt_coordinates(m1: int, m2: int, m3: int, k: int) -> list[int]:
+    """sum zeta_k^(2q - p1 - p2) over the basis, as coordinates in 1, zeta_k.
 
     The interlacing bounds of lambda = (m1 + m2 + m3, m2 + m3, m3) make the
-    pairs (p1, p2) a box: P = p1 - lambda2 < a and R = lambda2 - p2 < b.
-    The inner run j = q - p2 in [0, P + R] depends on d = P + R only, and
-    the sum of run(P + R) over the box is G(a + b) - G(a) - G(b).
+    pairs (p1, p2) a box: P = p1 - lambda2 < a and R = lambda2 - p2 < b,
+    with a = m1 + 1 and b = m2 + 1 whatever m3.  The inner run
+    j = q - p2 in [0, P + R] depends on d = P + R only, and the sum of
+    run(P + R) over the box is G(a + b) - G(a) - G(b).
     """
-    lam1, lam2, lam3 = m1 + m2 + m3, m2 + m3, m3
-    a, b = lam1 - lam2 + 1, lam2 - lam3 + 1
-    prefix = []
+    a, b = m1 + 1, m2 + 1
+    g = []
     for n in (a + b, a, b):
         q, r = divmod(n, k)
         pairs = q * (q - 1) // 2
         triples = pairs * (q - 2) // 3
-        row = iter(_GT_PREFIX[k, r])
-        prefix.append(
-            [
-                c3 * triples + c2 * pairs + c1 * q + c0
-                for c3, c2, c1, c0 in zip(row, row, row, row)
-            ]
-        )
-    whole, left, right = prefix
-    return list(map(sub, map(sub, whole, left), right))
+        for c3, c2, c1, c0 in _GT_PREFIX[k, r]:
+            g.append(c3 * triples + c2 * pairs + c1 * q + c0)
+    # G(a + b), G(a) and G(b), one or two coordinates each: phi(k) <= 2
+    if len(g) == 3:
+        return [g[0] - g[1] - g[2]]
+    return [g[0] - g[2] - g[4], g[1] - g[3] - g[5]]
 
 
 # trace periodicity tables, indexed [m1 mod k][m2 mod k]
@@ -217,7 +206,7 @@ def closed_trace(m1: int, m2: int, m3: int, k: int) -> int:
     return 0
 
 
-# 2 cos(2 pi e / k) for e = 0..k-1, exactly
+# 2 cos(2 pi e / k) for e = 0..k-1, exactly.  Only _h_rows reads it.
 _TWO_COS = {2: (2, -2), 3: (2, -1, -1), 4: (2, 0, -2, 0), 6: (2, 1, -1, -2, -1, 1)}
 
 
@@ -225,53 +214,64 @@ _TWO_COS = {2: (2, -2), 3: (2, -1, -1), 4: (2, 0, -2, 0), 6: (2, 1, -1, -2, -1, 
 def _h_row(m: int, k: int) -> int:
     """Complete homogeneous symmetric sum h_m(1, zeta_k, zeta_k^-1).
 
-    h_m = 0 for m < 0.  The counts at e and -e are equal, so h_m is the
-    rational integer sum_e counts[e] 2 cos(2 pi e / k) / 2.
+    h_m = 0 for m < 0.  The counts at e and -e are equal, so 2 h_m is the
+    cosine sum sum_e counts[e] 2 cos(2 pi e / k), an even integer.
     """
-    counts = _h_counts(m, k) if m >= 0 else [0] * k
-    if counts[1:] != counts[:0:-1]:
-        raise CrossCheckError(f"exponent counts {counts} of h_{m} are not symmetric")
-    return sum(map(mul, counts, _TWO_COS[k])) // 2
+    if m < 0:
+        return 0
+    twice, *odd = _h_coordinates(m, k)
+    if any(odd):
+        raise CrossCheckError(f"counts of h_{m} for k = {k} are not symmetric: {odd}")
+    if twice % 2:
+        raise CrossCheckError(f"cosine sum 2 h_{m} = {twice} for k = {k} is odd")
+    return twice // 2
 
 
-def _h_rows() -> dict[tuple[int, int], tuple[int, ...]]:
-    """Per (k, r), the quadratic count_e(2k M + r) = c2 C(M, 2) + c1 M + c0.
+def _h_rows() -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """Per (k, r), quadratics c2 C(M, 2) + c1 M + c0 in M = (m - r) / 2k.
 
     Exactly (m - |u|) // 2 + 1 monomials have b - c = u, for |u| <= m, so
     going from degree m - 2 to m every u with |u| <= m gains one monomial.
-    On each residue r, count_e is quadratic in M, so c2, c1 and c0 are its
-    forward differences at M = 0, read off count_e tabulated below 6k.  A
-    row holds c2, c1, c0 for e = 0, then for e = 1, and so on.
+    The counts, tabulated below 6k, are projected onto the cosine sum
+    sum_e count_e 2 cos(2 pi e / k) and onto count_e - count_-e for each
+    0 < e < k/2; a row holds (c2, c1, c0) of each projection in that
+    order, its forward differences at M = 0 on residue r.
     """
     rows = {}
-    for k in (2, 3, 4, 6):
+    for k, two_cos in _TWO_COS.items():
         # gain[e] counts the u = e mod k with |u| <= m
-        gain, count = [0] * k, {-2: [0] * k, -1: [0] * k}
+        gain, count = [0] * k, [[0] * k, [0] * k]
         for m in range(6 * k):
             gain[m % k] += 1
             if m:
                 gain[-m % k] += 1
-            count[m] = list(map(add, count[m - 2], gain))
+            count.append(list(map(add, count[-2], gain)))
+        count = count[2:]
+        coordinates = [[sum(map(mul, c, two_cos)) for c in count]]
+        coordinates += ([c[e] - c[-e] for c in count] for e in range(1, (k + 1) // 2))
         for r in range(2 * k):
-            row = []
-            for f0, f1, f2 in zip(count[r], count[r + 2 * k], count[r + 4 * k]):
-                row += (f2 - 2 * f1 + f0, f1 - f0, f0)
-            rows[k, r] = tuple(row)
+            rows[k, r] = tuple(
+                (f2 - 2 * f1 + f0, f1 - f0, f0)
+                for f0, f1, f2 in (f[r :: 2 * k] for f in coordinates)
+            )
     return rows
 
 
 _H_ROWS = _h_rows()
 
 
-def _h_counts(m: int, k: int) -> list[int]:
-    """Monomials x^a y^b z^c of degree m >= 0 per exponent b - c mod k.
+def _h_coordinates(m: int, k: int) -> list[int]:
+    """2 h_m, then count_e - count_-e for 0 < e < k/2, for m >= 0.
 
-    One row of _H_ROWS, read at m mod 2k and evaluated at M = m // 2k.
+    count_e counts the monomials x^a y^b z^c of degree m with b - c = e
+    mod k: one row of _H_ROWS, read at m mod 2k and evaluated at m // 2k.
     """
     big, r = divmod(m, 2 * k)
     pairs = big * (big - 1) // 2
-    row = iter(_H_ROWS[k, r])
-    return [c2 * pairs + c1 * big + c0 for c2, c1, c0 in zip(row, row, row)]
+    coordinates = []
+    for c2, c1, c0 in _H_ROWS[k, r]:
+        coordinates.append(c2 * pairs + c1 * big + c0)
+    return coordinates
 
 
 def weyl_det_trace(m1: int, m2: int, k: int) -> int:

@@ -1,7 +1,7 @@
 """Fixtures shared by the fault-injection tests."""
 import pytest
 
-from sl3coh import boundary, parity, rootsystem
+from sl3coh import boundary, parity, rootsystem, traces
 
 CACHES = (
     parity.survivor_sets,
@@ -21,3 +21,12 @@ def cold_boundary_caches():
     yield
     for cached in CACHES:
         cached.cache_clear()
+
+
+@pytest.fixture
+def cold_h_row():
+    # _h_row caches its values, so a fault in the rows underneath it shows
+    # only on a cold cache, and must not outlive the test
+    traces._h_row.cache_clear()
+    yield
+    traces._h_row.cache_clear()

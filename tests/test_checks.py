@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -80,25 +81,31 @@ def test_injected_fault_leaves_other_orders_alone(monkeypatch):
     assert all(f["check"] == "gt_trace_vs_closed_trace" for f in failures)
 
 
-@pytest.fixture
-def cold_h_row():
-    # _h_row caches its values, so a fault in the counts underneath it
-    # shows only on a cold cache, and must not outlive the test
-    traces._h_row.cache_clear()
-    yield
-    traces._h_row.cache_clear()
+def _h_bump(k, e):
+    # one more monomial at exponent e, in the coordinates of _h_coordinates:
+    # 2 cos(2 pi e / k) on the cosine sum, and +1 on count_e - count_-e (or
+    # -1 on the difference at -e) unless e = -e mod k
+    bump = [traces._TWO_COS[k][e]] + [0] * ((k - 1) // 2)
+    if 2 * e != k and e:
+        bump[min(e, k - e)] += 1 if 2 * e < k else -1
+    return bump
+
+
+def _bump_h_counts(monkeypatch, hit, residue):
+    # one more monomial at exponent residue mod k wherever hit holds
+    clean = traces._h_coordinates
+
+    def corrupted(m, k):
+        coordinates = clean(m, k)
+        if hit(m, k):
+            coordinates = list(map(add, coordinates, _h_bump(k, residue)))
+        return coordinates
+
+    monkeypatch.setattr(traces, "_h_coordinates", corrupted)
 
 
 def test_injected_h_row_fault_is_caught(monkeypatch, cold_h_row):
-    clean = traces._h_counts
-
-    def corrupted(m, k):
-        counts = clean(m, k)
-        if k == 6 and m % 6 == 1:
-            counts[0] += 1
-        return counts
-
-    monkeypatch.setattr(traces, "_h_counts", corrupted)
+    _bump_h_counts(monkeypatch, lambda m, k: k == 6 and m % 6 == 1, 0)
     report = run_all(max_weight=6)
     assert not report["ok"]
     names = {f["check"] for f in report["failures"]}
@@ -107,16 +114,17 @@ def test_injected_h_row_fault_is_caught(monkeypatch, cold_h_row):
 
 
 def _bump_gt_counts(monkeypatch, hit, residue=0):
-    # one more basis vector at exponent residue mod k wherever hit holds
-    clean = traces._gt_counts
+    # one more basis vector at exponent residue mod k wherever hit holds:
+    # the coordinates move by zeta_k^residue
+    clean = traces._gt_coordinates
 
     def corrupted(m1, m2, m3, k):
-        counts = clean(m1, m2, m3, k)
+        coordinates = clean(m1, m2, m3, k)
         if hit(m1, m2, m3, k):
-            counts[residue] += 1
-        return counts
+            coordinates = list(map(add, coordinates, traces._ZETA_POWERS[k][residue]))
+        return coordinates
 
-    monkeypatch.setattr(traces, "_gt_counts", corrupted)
+    monkeypatch.setattr(traces, "_gt_coordinates", corrupted)
 
 
 def test_injected_gt_trace_fault_is_caught(monkeypatch):
@@ -379,6 +387,101 @@ def test_every_gl2_row_entry_is_load_bearing(
     assert check in names
 
 
+_CLOSED = {"gt_trace_vs_closed_trace"}
+_GT = {"gt_trace_vs_closed_trace", "gt_trace_vs_weyl_det_trace"}
+_RAISED = {"trace_routes_raised"}
+
+# per trace table and order k: the least bound at which trace_routes
+# catches a +-1 change of every entry of the table's rows for k, and the
+# checks that fire across those mutants
+_TRACE_TABLES = [
+    ("M3", 3, 2, _CLOSED),
+    ("M4", 4, 3, _CLOSED),
+    ("M6", 6, 5, _CLOSED),
+    ("_GT_PREFIX", 2, 3, _GT),
+    ("_GT_PREFIX", 3, 5, _GT | _RAISED),
+    ("_GT_PREFIX", 4, 7, _GT | _RAISED),
+    ("_GT_PREFIX", 6, 11, _GT | _RAISED),
+    ("_ZETA_POWERS", 2, 1, _GT),
+    ("_ZETA_POWERS", 3, 1, _GT | _RAISED),
+    ("_ZETA_POWERS", 4, 1, _GT | _RAISED),
+    ("_ZETA_POWERS", 6, 2, _GT | _RAISED),
+    ("_H_ROWS", 2, 5, _RAISED),
+    ("_H_ROWS", 3, 8, _RAISED),
+    ("_H_ROWS", 4, 11, _RAISED),
+    ("_H_ROWS", 6, 17, _RAISED),
+    ("_TWO_COS", 2, 1, {"gt_trace_vs_weyl_det_trace"} | _RAISED),
+    ("_TWO_COS", 3, 0, _RAISED),
+    ("_TWO_COS", 4, 1, {"gt_trace_vs_weyl_det_trace"} | _RAISED),
+    ("_TWO_COS", 6, 1, {"gt_trace_vs_weyl_det_trace"} | _RAISED),
+]
+
+# the tables a builder reads, and the rows it builds from them
+_REBUILT = {"_ZETA_POWERS": ("_GT_PREFIX", "_gt_prefix"), "_TWO_COS": ("_H_ROWS", "_h_rows")}
+
+
+def _entry_paths(value, path=()):
+    # the index paths of the integers in nested tuples
+    if isinstance(value, int):
+        yield path
+    else:
+        for i, entry in enumerate(value):
+            yield from _entry_paths(entry, path + (i,))
+
+
+def _bumped(value, path, delta):
+    # the nested tuples with the integer at path moved by delta
+    if not path:
+        return value + delta
+    i, *rest = path
+    return value[:i] + (_bumped(value[i], rest, delta),) + value[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "name, k, bound, fired",
+    _TRACE_TABLES,
+    ids=[f"{name.strip('_')}-k{k}" for name, k, _, _ in _TRACE_TABLES],
+)
+def test_every_trace_table_entry_is_load_bearing(
+    monkeypatch, cold_h_row, name, k, bound, fired
+):
+    table = getattr(traces, name)
+    if isinstance(table, dict):
+        # keyed by k, or by (k, residue)
+        rows = {
+            key: row
+            for key, row in table.items()
+            if (key[0] if isinstance(key, tuple) else key) == k
+        }
+    else:
+        rows = {None: table}
+    # h values are cached: a mutant of an h table must not meet clean ones
+    h_side = name in ("_H_ROWS", "_TWO_COS")
+    survivors, names = [], set()
+    for key, row in rows.items():
+        for path in _entry_paths(row):
+            for delta in (1, -1):
+                with monkeypatch.context() as mp:
+                    if key is None:
+                        mp.setattr(traces, name, _bumped(row, path, delta))
+                    else:
+                        mp.setitem(table, key, _bumped(row, path, delta))
+                    if name in _REBUILT:
+                        built, builder = _REBUILT[name]
+                        mp.setattr(traces, built, getattr(traces, builder)())
+                    try:
+                        got = {f["check"] for f in dict(CHECKS)["trace_routes"](bound, 0)}
+                    except CrossCheckError:
+                        got = {"trace_routes_raised"}
+                    if h_side:
+                        traces._h_row.cache_clear()
+                if not got:
+                    survivors.append((key, path, delta))
+                names |= got
+    assert survivors == []
+    assert names == fired
+
+
 def _symbolic_cell_fault(monkeypatch):
     clean = euler.symbolic_cell
 
@@ -427,7 +530,8 @@ def _zeta_table_fault(monkeypatch):
     # every order-6 trace stays an integer, only a wrong one
     powers = list(traces._ZETA_POWERS[6])
     powers[3] = (1, 0)
-    monkeypatch.setitem(traces._ZETA_COLUMNS, 6, tuple(zip(*powers)))
+    monkeypatch.setitem(traces._ZETA_POWERS, 6, tuple(powers))
+    monkeypatch.setattr(traces, "_GT_PREFIX", traces._gt_prefix())
 
 
 def _gt_m3_fault(monkeypatch):
@@ -440,17 +544,17 @@ def _gt_beyond_bound_fault(monkeypatch):
 
 
 def _gt_table_fault(monkeypatch):
-    # the Q coefficient of G(3 Q + 2) at exponent 0 one too high
-    row = list(traces._GT_PREFIX[3, 2])
-    row[2] += 1
-    monkeypatch.setitem(traces._GT_PREFIX, (3, 2), tuple(row))
+    # the Q coefficient of G(3 Q + 2) at exponent 0 one too high: the
+    # constant's, as zeta_3^0 = 1
+    (c3, c2, c1, c0), linear = traces._GT_PREFIX[3, 2]
+    monkeypatch.setitem(traces._GT_PREFIX, (3, 2), ((c3, c2, c1 + 1, c0), linear))
 
 
 def _h_table_fault(monkeypatch):
-    # one more monomial at exponent 0 of h_m for k = 6 and m = 1 mod 12
-    row = list(traces._H_ROWS[6, 1])
-    row[2] += 1
-    monkeypatch.setitem(traces._H_ROWS, (6, 1), tuple(row))
+    # one more monomial at exponent 0 of h_m for k = 6 and m = 1 mod 12:
+    # 2 cos 0 = 2 more on the cosine sum
+    (c2, c1, c0), *differences = traces._H_ROWS[6, 1]
+    monkeypatch.setitem(traces._H_ROWS, (6, 1), ((c2, c1, c0 + 2), *differences))
 
 
 def _survivor_parity_fault(monkeypatch):
@@ -724,16 +828,24 @@ def test_a_zeta_sum_outside_the_integers_raises(monkeypatch):
         traces.gt_trace(2, 2, 0, 3)
 
 
-def _h_counts_asymmetry_fault(monkeypatch):
+def _h_asymmetry_fault(monkeypatch):
     # one more monomial at exponent 1 and none at -1: h_m would not be real
-    clean = traces._h_counts
+    _bump_h_counts(monkeypatch, lambda m, k: True, 1)
 
-    def corrupted(m, k):
-        counts = clean(m, k)
-        counts[1] += 1
-        return counts
 
-    monkeypatch.setattr(traces, "_h_counts", corrupted)
+def _odd_cosine_fault(monkeypatch):
+    # 2 cos(pi / 2) read as 1: the cosine sums of h_1 and h_2 for k = 4 are
+    # 3 and 1, which halving with a floor would turn into the right 1 and 0
+    monkeypatch.setitem(traces._TWO_COS, 4, (2, 1, -2, 0))
+    monkeypatch.setattr(traces, "_H_ROWS", traces._h_rows())
+
+
+def test_an_odd_cosine_sum_raises(monkeypatch, cold_h_row):
+    _odd_cosine_fault(monkeypatch)
+    assert traces._h_row(0, 4) == 1
+    for m, twice in ((1, 3), (2, 1)):
+        with pytest.raises(CrossCheckError, match=f"^cosine sum 2 h_{m} = {twice} "):
+            traces._h_row(m, 4)
 
 
 def _gl2_class_weight_fault(monkeypatch):
@@ -770,12 +882,20 @@ def test_gl2_torsion_sum_outside_the_integers_raises(monkeypatch):
             "CrossCheckError: GL2 torsion sum at m=0, det_twist=0 is 5/4",
         ),
         (
-            _h_counts_asymmetry_fault,
+            _h_asymmetry_fault,
             "trace_routes",
-            "CrossCheckError: exponent counts [1, 1, 0] of h_0 are not symmetric",
+            "CrossCheckError: counts of h_0 for k = 3 are not symmetric: [1]",
+        ),
+        (
+            _odd_cosine_fault,
+            "trace_routes",
+            "CrossCheckError: cosine sum 2 h_1 = 3 for k = 4 is odd",
         ),
     ],
-    ids=["torsion_sum", "zeta_sum", "gl2_torsion_sum", "h_counts_symmetry"],
+    ids=[
+        "torsion_sum", "zeta_sum", "gl2_torsion_sum", "h_counts_symmetry",
+        "odd_cosine_sum",
+    ],
 )
 def test_a_sum_outside_the_integers_is_recorded(
     monkeypatch, cold_h_row, fault, family, detail

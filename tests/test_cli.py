@@ -388,23 +388,25 @@ USAGE_ERRORS = [
     ),
     (
         ["cohomology", "--group", "sl3", "--m1", "0", "--m2", "0", "--m3", "0"],
-        "sl3coh: error: --m3 only applies to --group gl3",
+        "sl3coh cohomology: error: --m3 only applies to --group gl3",
     ),
     (
         ["cohomology", "--group", "gl3", "--m1", "0", "--m2", "0"],
-        "sl3coh: error: --group gl3 needs --m3",
+        "sl3coh cohomology: error: --group gl3 needs --m3",
     ),
     (
         ["euler-table", "--symbolic", "--m1-max", "4"],
-        "sl3coh: error: --symbolic excludes --m1-max/--m2-max",
+        "sl3coh euler-table: error: --symbolic excludes --m1-max/--m2-max",
     ),
     (
         ["euler-table"],
-        "sl3coh: error: need either --symbolic or both --m1-max and --m2-max",
+        "sl3coh euler-table: error: "
+        "need either --symbolic or both --m1-max and --m2-max",
     ),
     (
         ["euler-table", "--m1-max", "4"],
-        "sl3coh: error: need either --symbolic or both --m1-max and --m2-max",
+        "sl3coh euler-table: error: "
+        "need either --symbolic or both --m1-max and --m2-max",
     ),
     (
         ["verify", "--max", "-2"],

@@ -1,4 +1,7 @@
 """The three trace routes, against a direct enumeration of the basis."""
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,12 +29,18 @@ def _times_zeta(v, order):
     return tuple(c - top * low for c, low in zip(shifted, _MINIMAL[order]))
 
 
-def _evaluate(counts, order):
-    """sum_r counts[r] zeta_R^r by Horner's rule; fails unless an integer."""
+def _in_zeta_basis(counts, order):
+    """sum_r counts[r] zeta_R^r by Horner's rule, in the basis 1, zeta_R."""
     acc = (0,) * len(_MINIMAL[order])
     for count in reversed(counts):
         acc = _times_zeta(acc, order)
         acc = (acc[0] + count,) + acc[1:]
+    return list(acc)
+
+
+def _evaluate(counts, order):
+    """sum_r counts[r] zeta_R^r; fails unless a rational integer."""
+    acc = _in_zeta_basis(counts, order)
     assert not any(acc[1:]), f"{acc} is not a rational integer"
     return acc[0]
 
@@ -193,8 +202,9 @@ def test_gt_trace_matches_the_loop_over_d(m1, m2, m3, k):
     assert gt_trace(m1, m2, m3, k) == _gt_trace_by_d(m1, m2, m3, k)
 
 
-# test-only copy of the per-piece form of _gt_counts: its inner residue
-# loop runs once per (piece, first term) instead of once per first mod k
+# test-only copy of the per-piece count of basis vectors per exponent mod k:
+# its inner residue loop runs once per (piece, first term) instead of once
+# per first mod k; _gt_coordinates holds these counts in the basis 1, zeta_k
 def _gt_counts_per_piece(m1, m2, m3, k):
     lo1, hi1 = m2 + m3, m1 + m2 + m3
     lo2, hi2 = m3, m2 + m3
@@ -218,6 +228,11 @@ def _gt_counts_per_piece(m1, m2, m3, k):
     return counts
 
 
+def _gt_by_piece(m1, m2, m3, k):
+    # both coordinates of the per-piece counts, not only the trace
+    return _in_zeta_basis(_gt_counts_per_piece(m1, m2, m3, k), k)
+
+
 @given(
     st.integers(min_value=0, max_value=400),
     st.integers(min_value=0, max_value=400),
@@ -225,16 +240,14 @@ def _gt_counts_per_piece(m1, m2, m3, k):
     st.sampled_from(TRACE_ORDERS),
 )
 def test_gt_counts_match_the_per_piece_loop(m1, m2, m3, k):
-    assert traces._gt_counts(m1, m2, m3, k) == _gt_counts_per_piece(m1, m2, m3, k)
+    assert traces._gt_coordinates(m1, m2, m3, k) == _gt_by_piece(m1, m2, m3, k)
 
 
 @pytest.mark.parametrize("k", TRACE_ORDERS)
 def test_gt_counts_at_piece_edges(k):
     for m1, m2 in _EDGE_WEIGHTS:
         for m3 in (-3, 0, 2):
-            assert traces._gt_counts(m1, m2, m3, k) == _gt_counts_per_piece(
-                m1, m2, m3, k
-            )
+            assert traces._gt_coordinates(m1, m2, m3, k) == _gt_by_piece(m1, m2, m3, k)
 
 
 @pytest.mark.parametrize("k", TRACE_ORDERS)
@@ -251,8 +264,9 @@ def test_h_row_matches_monomial_enumeration(m, k):
     assert traces._h_row(m, k) == _h_row_by_monomials(m, k)
 
 
-# test-only copy of the progression form of _h_counts: one closed sum per
-# residue s mod 2k of u = b - c, folded onto the exponents +s and -s
+# test-only copy of the progression count of monomials per exponent b - c
+# mod k: one closed sum per residue s mod 2k of u = b - c, folded onto the
+# exponents +s and -s
 def _h_counts_by_progression(m, k):
     counts = [0] * k
     for s in range(min(2 * k, m + 1)):
@@ -264,9 +278,19 @@ def _h_counts_by_progression(m, k):
     return counts
 
 
+def _h_by_progression(m, k):
+    # what _h_coordinates holds: the cosine sum sum_e counts[e] (zeta^e +
+    # zeta^-e), then counts[e] - counts[-e] for 0 < e < k/2
+    counts = _h_counts_by_progression(m, k)
+    mirrored = [c + counts[-e] for e, c in enumerate(counts)]
+    return [_evaluate(mirrored, k)] + [
+        counts[e] - counts[-e] for e in range(1, (k + 1) // 2)
+    ]
+
+
 @given(st.integers(min_value=0, max_value=400), st.sampled_from(TRACE_ORDERS))
 def test_h_counts_match_the_progression_loop(m, k):
-    assert traces._h_counts(m, k) == _h_counts_by_progression(m, k)
+    assert traces._h_coordinates(m, k) == _h_by_progression(m, k)
 
 
 @pytest.mark.parametrize("k", TRACE_ORDERS)
@@ -275,12 +299,12 @@ def test_counts_match_their_loops_near_10_to_the_12(k):
     # (m1 mod k, m2 mod k) for the gt rows, with small and large partners
     big = 10**12
     for r in range(2 * k):
-        assert traces._h_counts(big + r, k) == _h_counts_by_progression(big + r, k)
+        assert traces._h_coordinates(big + r, k) == _h_by_progression(big + r, k)
     for a in range(k):
         for b in range(k):
             for m1, m2 in ((big + a, big + b), (big + a, b), (a, big + b)):
                 for m3 in (-3, 0, 2):
-                    assert traces._gt_counts(m1, m2, m3, k) == _gt_counts_per_piece(
+                    assert traces._gt_coordinates(m1, m2, m3, k) == _gt_by_piece(
                         m1, m2, m3, k
                     )
 
@@ -358,3 +382,22 @@ def test_torsion_class_table_shape():
     assert len(labels) == len(set(labels)) == 5
     assert all(c.order in (0, 2, 3, 4, 6) for c in SL3_TORSION_CLASSES)
     assert sum(c.order == 0 for c in SL3_TORSION_CLASSES) == 1
+
+
+def test_each_counting_route_reads_only_its_own_tables():
+    # the names each function of the traces module reads
+    tree = ast.parse(Path(traces.__file__).read_text(encoding="utf-8"))
+    reads = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert {f for f, names in reads.items() if "_ZETA_POWERS" in names} == {"_gt_prefix"}
+    assert {f for f, names in reads.items() if "_TWO_COS" in names} == {"_h_rows"}
+    closed = {"M3", "M4", "M6", "closed_trace"}
+    gt = ("gt_trace", "_gt_coordinates", "_gt_prefix")
+    det = ("weyl_det_trace", "_h_row", "_h_coordinates", "_h_rows")
+    gt_reads = set().union(*(reads[f] for f in gt))
+    det_reads = set().union(*(reads[f] for f in det))
+    assert not gt_reads & (closed | {"_TWO_COS", "_H_ROWS", "_h_row", "_h_coordinates"})
+    assert not det_reads & (closed | {"_ZETA_POWERS", "_GT_PREFIX", "_gt_coordinates"})
