@@ -8,9 +8,9 @@ Two routes for chi_h(SL3(Z), M_(m1,m2)):
   the parities of (m1, m2), with the residual value dim S_2 = -1 (_dim_s;
   gl2.dim_cusp_forms keeps the classical dim S_2 = 0).
 
-The closed form is periodic-plus-linear in (m1, m2) mod 12, which gives the
-12 x 12 table of symbolic cells; euler_values evaluates the cells over a
-numeric sweep.
+chi_h is periodic-plus-linear in (m1, m2) mod 12.  The 144 cells of its
+12 x 12 table are fitted from the torsion sum once, at import, so the
+parity split is typed in sl3_euler_closed only.
 """
 from __future__ import annotations
 
@@ -58,14 +58,18 @@ def sl3_euler_closed(lam: HighestWeight) -> int:
     return 0
 
 
+_CELL_FORMS = {"zero": (0, 0, 0), "sum": (-1, -1, 1), "m1": (1, 0, -1), "m2": (0, 1, -1)}
+_FIT_STEPS = ((0, 0), (12, 0), (0, 12))
+
+
 @dataclass(frozen=True, slots=True)
 class SymbolicCell:
     """One cell of the 12 x 12 Euler table.
 
-    kind "sum" evaluates to -(m1 + m2 - offset)/12 + shift, "m1" to
-    (m1 - offset)/12 + shift, "m2" to (m2 - offset)/12 + shift, and "zero"
-    to 0.  The division is always exact for weights with the cell's
-    residues.
+    It evaluates to (a m1 + b m2 + c offset)/12 + shift with (a, b, c) =
+    _CELL_FORMS[kind]: -(m1 + m2 - offset)/12 + shift for kind "sum",
+    (m1 - offset)/12 + shift for "m1", (m2 - offset)/12 + shift for "m2",
+    and 0 for "zero".  The division is exact for the cell's residues.
     """
 
     kind: str
@@ -73,20 +77,16 @@ class SymbolicCell:
     shift: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("zero", "sum", "m1", "m2"):
+        if self.kind not in _CELL_FORMS:
             raise ValueError(f"unknown cell kind {self.kind!r}")
         if type(self.offset) is not int or type(self.shift) is not int:
             raise TypeError(f"offset and shift must be ints, got {self!r}")
+        if self.kind == "zero" and (self.offset or self.shift):
+            raise ValueError(f"a zero cell has no offset or shift, got {self!r}")
 
     def evaluate(self, m1: int, m2: int) -> int:
-        if self.kind == "zero":
-            return 0
-        if self.kind == "sum":
-            num = -(m1 + m2 - self.offset)
-        elif self.kind == "m1":
-            num = m1 - self.offset
-        else:
-            num = m2 - self.offset
+        a, b, c = _CELL_FORMS[self.kind]
+        num = a * m1 + b * m2 + c * self.offset
         if num % 12 != 0:
             raise CrossCheckError(f"{self} does not divide at ({m1}, {m2})")
         return num // 12 + self.shift
@@ -106,15 +106,31 @@ class SymbolicCell:
             return "0"
         if self.kind == "sum":
             body = "-(m1+m2)/12" if self.offset == 0 else f"-(m1+m2-{self.offset})/12"
-        elif self.kind == "m1":
-            body = f"(m1-{self.offset})/12"
         else:
-            body = f"(m2-{self.offset})/12"
+            body = f"({self.kind}-{self.offset})/12"
         if self.shift > 0:
             return f"{body} + {self.shift}"
         if self.shift < 0:
             return f"{body} - {-self.shift}"
         return body
+
+
+def _fit_cell(i: int, j: int) -> SymbolicCell:
+    """The cell of residues (i, j), fitted from the torsion sum.
+
+    The value at (i, j) is the shift, the steps to (i + 12, j) and
+    (i, j + 12) are the kind's (a, b), and the offset zeroes the numerator.
+    """
+    shift, at_i, at_j = (sl3_euler_wall(HighestWeight(i + p, j + q)) for p, q in _FIT_STEPS)
+    steps = (at_i - shift, at_j - shift)
+    kind = next((k for k, form in _CELL_FORMS.items() if form[:2] == steps), None)
+    if kind is None:
+        raise CrossCheckError(f"torsion sum steps {steps} at ({i}, {j}) name no cell kind")
+    a, b, c = _CELL_FORMS[kind]
+    return SymbolicCell(kind, -c * (a * i + b * j), shift)
+
+
+_CELLS = tuple(tuple(_fit_cell(i, j) for j in range(12)) for i in range(12))
 
 
 def symbolic_cell(i: int, j: int) -> SymbolicCell:
@@ -123,40 +139,29 @@ def symbolic_cell(i: int, j: int) -> SymbolicCell:
         raise TypeError(f"residues must be ints, got ({i!r}, {j!r})")
     if not (0 <= i < 12 and 0 <= j < 12):
         raise ValueError(f"residues must be in 0..11, got ({i}, {j})")
-    if i % 2 == 1 and j % 2 == 1:
-        return SymbolicCell("zero")
-    if i % 2 == 0 and j % 2 == 0:
-        shift = -(1 + _dim_s(i + 2) + _dim_s(j + 2))
-        return SymbolicCell("sum", offset=i + j, shift=shift)
-    if i % 2 == 0:
-        shift = _dim_s(i + j + 3) - _dim_s(i + 2)
-        return SymbolicCell("m2", offset=j, shift=shift)
-    shift = _dim_s(i + j + 3) - _dim_s(j + 2)
-    return SymbolicCell("m1", offset=i, shift=shift)
+    return _CELLS[i][j]
 
 
 def symbolic_table() -> list[list[SymbolicCell]]:
     """All 144 cells, rows indexed by m1 mod 12, columns by m2 mod 12."""
-    return [[symbolic_cell(i, j) for j in range(12)] for i in range(12)]
+    return [list(row) for row in _CELLS]
 
 
 def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
     """chi_h over 0 <= m1 <= m1_max, 0 <= m2 <= m2_max, one row per m1.
 
-    The 144 cells are built once per call; each row is filled by 12 residue
-    runs m2 = j, j + 12, ... (SymbolicCell.run), whose divisibility checks
-    at the first two weights of a run cover the whole run.
+    Each row is 12 residue runs m2 = j, j + 12, ... of the import-time
+    cells (SymbolicCell.run), each checked at its first two weights.
     """
     if type(m1_max) is not int or type(m2_max) is not int:
         raise TypeError(f"sweep bounds must be ints, got ({m1_max!r}, {m2_max!r})")
     if m1_max < 0 or m2_max < 0:
         raise ValueError("sweep bounds must be >= 0")
-    cells = symbolic_table()
     width = m2_max + 1
     out = []
     for m1 in range(m1_max + 1):
         row = [0] * width
-        for j, cell in enumerate(cells[m1 % 12][:width]):
+        for j, cell in enumerate(_CELLS[m1 % 12][:width]):
             row[j::12] = cell.run(m1, j, (width - 1 - j) // 12 + 1)
         out.append(row)
     return out

@@ -7,7 +7,7 @@ cusp forms plus at most one Eisenstein line.
 
 Cusp form dimensions are the classical level-one ones, dim S_2 = 0.  The
 residual value dim S_2 = -1, which makes the SL3 Euler formulas uniform,
-lives in euler._dim_s, next to the formulas that use it.
+lives in euler._dim_s, next to the formula that uses it.
 
 The closed forms are periodic in m mod 12 up to a linear term: each reads
 one hand-typed row of six constants, indexed by the even residue

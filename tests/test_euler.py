@@ -84,6 +84,10 @@ def test_symbolic_cell_validation():
     # an unknown kind is refused when the cell is made, not drawn as an m2 cell
     with pytest.raises(ValueError, match="unknown cell kind"):
         euler.SymbolicCell("bogus", 3, 1)
+    # a zero cell evaluates to 0 whatever it carries, so it may carry nothing
+    for offset, shift in ((3, 5), (3, 0), (0, 5)):
+        with pytest.raises(ValueError, match="zero cell"):
+            euler.SymbolicCell("zero", offset=offset, shift=shift)
 
 
 def test_symbolic_table_shape_and_consistency():
@@ -125,16 +129,10 @@ def test_euler_values_reject_negative_bounds():
 
 
 def test_a_wrong_cell_offset_raises_in_the_sweep(monkeypatch):
-    clean = euler.symbolic_cell
-
-    def corrupted(i, j):
-        cell = clean(i, j)
-        if (i, j) == (4, 6):
-            return dataclasses.replace(cell, offset=cell.offset + 1)
-        return cell
-
-    monkeypatch.setattr(euler, "symbolic_cell", corrupted)
-    # the sweep reads the cells at call time, so the fault shows
+    cells = [list(row) for row in euler._CELLS]
+    cells[4][6] = dataclasses.replace(cells[4][6], offset=cells[4][6].offset + 1)
+    monkeypatch.setattr(euler, "_CELLS", cells)
+    # the sweep reads the import-time table, so a fault in one of its cells shows
     with pytest.raises(CrossCheckError):
         euler_values(4, 6)
     # weights in other cells are untouched
@@ -142,3 +140,21 @@ def test_a_wrong_cell_offset_raises_in_the_sweep(monkeypatch):
         [sl3_euler_closed(HighestWeight(m1, m2)) for m2 in range(6)]
         for m1 in range(4)
     ]
+
+
+def test_a_fitted_step_that_names_no_kind_raises(monkeypatch):
+    clean = euler.sl3_euler_wall
+    # the m1 step of the "m1" cell (1, 2) read as 2 instead of 1
+    monkeypatch.setattr(
+        euler, "sl3_euler_wall", lambda lam: clean(lam) + ((lam.m1, lam.m2) == (13, 2))
+    )
+    with pytest.raises(CrossCheckError, match=r"steps \(2, 0\) at \(1, 2\)"):
+        euler._fit_cell(1, 2)
+
+
+def test_every_cell_matches_the_torsion_sum_far_out():
+    # random_spots reaches only 25 cells per seed
+    for i in range(12):
+        for j in range(12):
+            lam = HighestWeight(i + 12 * 10**10, j + 12 * 10**11)
+            assert symbolic_cell(i, j).evaluate(lam.m1, lam.m2) == sl3_euler_wall(lam)
