@@ -274,7 +274,10 @@ def _reference_table(m1_max, m2_max, fmt):
     "m1_max, m2_max",
     [
         (40, 40), (0, 0), (13, 0), (0, 25), (11, 13), (25, 11), (3, 150), (150, 3),
-        (12, 2), (2, 3),
+        (12, 2), (2, 3), (150, 150),
+        # around m1 = 12: the last rows of the first twelve and the first rows
+        # twelve above them, at widths 1, 2, 13, 14 and 31
+        (11, 30), (12, 0), (23, 12), (24, 1), (36, 13),
     ],
 )
 def test_numeric_table_matches_the_closed_form(capsys, fmt, m1_max, m2_max):
