@@ -148,8 +148,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_euler_table(args) -> int:
-    # one grid, one row per m1 (mod 12 for the symbolic cells); each row is
-    # one string, filled into a %-template built once per table
+    # one grid, one row per m1 (mod 12 for the symbolic cells); each row is one
+    # string from a %-template built once per table (csv: "@" marks the row index)
     if args.symbolic:
         rows = [[cell.render() for cell in row] for row in symbolic_table()]
         header, field = "m1_mod_12,m2_mod_12,cell", '"%s"'
@@ -159,11 +159,9 @@ def cmd_euler_table(args) -> int:
     width = len(rows[0])
     if args.format == "csv":
         lines = [header]
-        template = "\n".join([f"%s,{j},{field}" for j in range(width)])
+        template = "\n".join([f"@,{j},{field}" for j in range(width)])
         for i, row in enumerate(rows):
-            fill = [str(i)] * (2 * width)
-            fill[1::2] = row
-            lines.append(template % tuple(fill))
+            lines.append(template.replace("@", str(i)) % tuple(row))
     else:
         lines = [
             "| m1\\m2 | " + " | ".join(map(str, range(width))) + " |",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import CrossCheckError
 from .gl2 import dim_cusp_forms
@@ -150,8 +151,10 @@ def symbolic_table() -> list[list[SymbolicCell]]:
 def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
     """chi_h over 0 <= m1 <= m1_max, 0 <= m2 <= m2_max, one row per m1.
 
-    Each row is 12 residue runs m2 = j, j + 12, ... of the import-time
-    cells (SymbolicCell.run), each checked at its first two weights.
+    Rows m1 < 12 are 12 residue runs m2 = j, j + 12, ... of the import-time
+    cells (SymbolicCell.run), each checked at its first two weights.  A later
+    row is the row twelve above plus each cell's m1 step, the a of its kind:
+    the numerator moves by 12 a, so those checks cover every entry.
     """
     if type(m1_max) is not int or type(m2_max) is not int:
         raise TypeError(f"sweep bounds must be ints, got ({m1_max!r}, {m2_max!r})")
@@ -159,11 +162,14 @@ def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
         raise ValueError("sweep bounds must be >= 0")
     width = m2_max + 1
     out = []
-    for m1 in range(m1_max + 1):
+    for m1 in range(min(m1_max, 11) + 1):
         row = [0] * width
-        for j, cell in enumerate(_CELLS[m1 % 12][:width]):
+        for j, cell in enumerate(_CELLS[m1][:width]):
             row[j::12] = cell.run(m1, j, (width - 1 - j) // 12 + 1)
         out.append(row)
+    steps = [[_CELL_FORMS[cell.kind][0] for cell in row] * (width // 12 + 1) for row in _CELLS]
+    for m1 in range(12, m1_max + 1):
+        out.append(list(map(add, out[m1 - 12], steps[m1 % 12])))
     return out
 
 

@@ -128,18 +128,32 @@ def test_euler_values_reject_negative_bounds():
         euler_values(4, -1)
 
 
-def test_a_wrong_cell_offset_raises_in_the_sweep(monkeypatch):
+def _shift_offset(monkeypatch, i, j):
     cells = [list(row) for row in euler._CELLS]
-    cells[4][6] = dataclasses.replace(cells[4][6], offset=cells[4][6].offset + 1)
+    cells[i][j] = dataclasses.replace(cells[i][j], offset=cells[i][j].offset + 1)
     monkeypatch.setattr(euler, "_CELLS", cells)
-    # the sweep reads the import-time table, so a fault in one of its cells shows
-    with pytest.raises(CrossCheckError):
-        euler_values(4, 6)
+
+
+def test_a_wrong_cell_offset_raises_in_the_sweep(monkeypatch):
+    _shift_offset(monkeypatch, 4, 6)
+    # the sweep reads the import-time table, so a fault in one of its cells
+    # shows, also in a sweep whose rows past m1 = 11 are derived, not evaluated
+    for m1_max, m2_max in [(4, 6), (150, 150)]:
+        with pytest.raises(CrossCheckError):
+            euler_values(m1_max, m2_max)
     # weights in other cells are untouched
     assert euler_values(3, 5) == [
         [sl3_euler_closed(HighestWeight(m1, m2)) for m2 in range(6)]
         for m1 in range(4)
     ]
+
+
+@pytest.mark.parametrize("m1_max, m2_max", [(11, 4), (40, 40)])
+def test_a_wrong_cell_offset_in_the_last_evaluated_row_raises(monkeypatch, m1_max, m2_max):
+    # (11, 4) is an "m1" cell; m1 = 11 is the last row built from residue runs
+    _shift_offset(monkeypatch, 11, 4)
+    with pytest.raises(CrossCheckError):
+        euler_values(m1_max, m2_max)
 
 
 def test_a_fitted_step_that_names_no_kind_raises(monkeypatch):
