@@ -45,11 +45,11 @@ class GradedProfile:
         """The profile of degree -> {k: mult}, without zero multiplicities."""
         items = []
         for q in sorted(data):
-            # the trivial line (k None) sorts before every weight k >= 2
-            row = sorted(
-                ((k, m) for k, m in data[q].items() if m),
-                key=lambda s: -1 if s[0] is None else s[0],
-            )
+            # the trivial line (k None) before every weight k >= 2
+            row = sorted([(k, m) for k, m in data[q].items() if m and k is not None])
+            lines = data[q].get(None)
+            if lines:
+                row.insert(0, (None, lines))
             if row:
                 items.append((q, tuple(row)))
         return cls(by_degree=tuple(items))
@@ -64,19 +64,22 @@ class GradedProfile:
         return ()
 
     def dimension(self, q: int) -> int:
-        return sum(
-            m if k is None else m * dim_cusp_forms(k) for k, m in self.summands(q)
-        )
+        return _dimension(self.summands(q))
 
     def total_dimension(self) -> int:
-        return sum(self.dimension(q) for q, _ in self.by_degree)
+        return sum(_dimension(s) for _, s in self.by_degree)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** q * self.dimension(q) for q, _ in self.by_degree)
+        return sum(-_dimension(s) if q % 2 else _dimension(s) for q, s in self.by_degree)
 
     def multiset(self, q: int) -> dict:
         """Summand multiplicities at degree q, k -> mult."""
         return dict(self.summands(q))
+
+
+def _dimension(summands: tuple[tuple[int | None, int], ...]) -> int:
+    """The dimension of one degree's summands."""
+    return sum(m if k is None else m * dim_cusp_forms(k) for k, m in summands)
 
 
 def _case_row(table: dict, lam: HighestWeight) -> GradedProfile:

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .checks import run_all
@@ -110,6 +111,37 @@ def _md_cell(summands: list) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+# the text of a JSON scalar, by its exact type
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2) for a report's dicts, lists and scalars.
+
+    The same bytes, without the stdlib's pure-Python indenting encoder:
+    a report is nested dicts with str keys, lists, str, int, bool and None.
+    """
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = pad + "  "
+    if type(value) is dict:
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if type(value) is list:
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"not a report value: {value!r}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if not out_path:
         try:
@@ -138,7 +170,7 @@ def cmd_cohomology(args) -> int:
         **cohomology_report(lam),
     }
     if args.format == "json":
-        text = json.dumps(report, indent=2)
+        text = _json_text(report)
     elif args.format == "text":
         text = _render_report_text(report)
     else:
@@ -195,6 +227,11 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
+# subcommand name -> its parser, filled by build_parser: main parses a known
+# subcommand once, with its own parser
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl3coh",
@@ -230,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--out", help="write output to this file")
     verify.set_defaults(fn=cmd_verify)
+    _COMMANDS.update({"cohomology": coh, "euler-table": table, "verify": verify})
     return parser
 
 
@@ -240,14 +278,18 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a known subcommand goes straight to its own parser; the top-level one
+    # takes the rest (no arguments, -h, --version, an unknown command)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
     # args.error is the subcommand's, so its usage line names --m3 and the rest
-    if args.command == "cohomology":
+    if args.fn is cmd_cohomology:
         if args.group == "sl3" and args.m3 is not None:
             args.error("--m3 only applies to --group gl3")
         if args.group == "gl3" and args.m3 is None:
             args.error("--group gl3 needs --m3")
-    if args.command == "euler-table":
+    if args.fn is cmd_euler_table:
         if args.symbolic and (args.m1_max is not None or args.m2_max is not None):
             args.error("--symbolic excludes --m1-max/--m2-max")
         if not args.symbolic and (args.m1_max is None or args.m2_max is None):

@@ -36,10 +36,9 @@ def sl3_euler_wall(lam: HighestWeight) -> int:
     for cls in SL3_TORSION_CLASSES:
         if cls.order == 0:
             continue  # identity class: centralizer chi is 0
-        chi = cls.centralizer_chi
-        trace = closed_trace(lam.m1, lam.m2, 0, cls.order)
-        term = chi.numerator * cls.resultant * trace
-        num, den = num * chi.denominator + term * den, den * chi.denominator
+        chi_num, chi_den = cls.centralizer_chi.as_integer_ratio()
+        term = chi_num * cls.resultant * closed_trace(lam.m1, lam.m2, 0, cls.order)
+        num, den = num * chi_den + term * den, den * chi_den
     if num % den != 0:
         raise CrossCheckError(
             f"torsion sum at {lam} is {Fraction(num, den)}, not an integer"

@@ -16,27 +16,32 @@ one table as well.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .errors import CrossCheckError
 
-@dataclass(frozen=True, slots=True)
-class GL2Weight:
-    """A weight V_{a,n} = Sym^a tensor det^((n-a)/2) of GL2."""
 
-    a: int
-    n: int
+class GL2Weight(namedtuple("GL2Weight", ("a", "n"))):
+    """A weight V_{a,n} = Sym^a tensor det^((n-a)/2) of GL2, as a tuple (a, n)."""
 
-    def __post_init__(self) -> None:
-        if type(self.a) is not int or type(self.n) is not int:
-            raise TypeError(f"a and n must be ints, got ({self.a!r}, {self.n!r})")
-        if self.a < 0:
-            raise ValueError(f"a must be >= 0, got {self.a}")
-        if (self.a - self.n) % 2 != 0:
-            raise ValueError(f"a and n must have equal parity, got ({self.a}, {self.n})")
+    __slots__ = ()
+
+    def __new__(cls, a: int, n: int) -> "GL2Weight":
+        if type(a) is not int or type(n) is not int:
+            raise TypeError(f"a and n must be ints, got ({a!r}, {n!r})")
+        if a < 0:
+            raise ValueError(f"a must be >= 0, got {a}")
+        if (a - n) % 2 != 0:
+            raise ValueError(f"a and n must have equal parity, got ({a}, {n})")
+        return tuple.__new__(cls, (a, n))
+
+    @classmethod
+    def _make(cls, iterable) -> "GL2Weight":
+        # _replace builds through _make: keep it checked
+        return cls(*iterable)
 
 
 # the constant terms of the closed forms, per even residue (m mod 12) // 2:

@@ -42,10 +42,11 @@ def survivor_sets(lam: HighestWeight) -> MappingProxyType:
     Weights with equal survivor sets get the same read-only mapping, so each
     cached weight holds a reference, not a mapping of its own.
     """
-    sets = {P0: tuple(w for w in kostant_set(P0) if minimal_parabolic_survives(w, lam))}
+    sets = {P0: tuple([w for w in kostant_set(P0) if minimal_parabolic_survives(w, lam)])}
     for p in (P1, P2):
-        sets[p] = tuple(w for w in kostant_set(p) if survives(restrict_to_levi(w, lam, p)))
-    return _SHARED.setdefault(tuple(sets.values()), MappingProxyType(sets))
+        sets[p] = tuple([w for w in kostant_set(p) if survives(restrict_to_levi(w, lam, p))])
+    key = tuple(sets.values())
+    return _SHARED.get(key) or _SHARED.setdefault(key, MappingProxyType(sets))
 
 
 # the case of (m1, m2), indexed by the class m and 2 - m % 2 of each

@@ -10,6 +10,7 @@ positive roots alpha1 = e1 - e2, alpha2 = e2 - e3, alpha1 + alpha2.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,20 +28,24 @@ def check_weight(m1: int, m2: int, m3: int = 0) -> None:
         raise ValueError(f"weight must be dominant, got ({m1}, {m2}, {m3})")
 
 
-@dataclass(frozen=True, slots=True)
-class HighestWeight:
+class HighestWeight(namedtuple("HighestWeight", ("m1", "m2", "m3"), defaults=(None,))):
     """A dominant weight: m1, m2 >= 0 in fundamental coordinates.
 
     m3 is the determinant power for GL3 weights (any sign); m3 = None means
-    an SL3 weight.
+    an SL3 weight.  A tuple (m1, m2, m3), so the per-weight caches hash and
+    compare it in C.
     """
 
-    m1: int
-    m2: int
-    m3: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_weight(self.m1, self.m2, 0 if self.m3 is None else self.m3)
+    def __new__(cls, m1: int, m2: int, m3: int | None = None) -> "HighestWeight":
+        check_weight(m1, m2, 0 if m3 is None else m3)
+        return tuple.__new__(cls, (m1, m2, m3))
+
+    @classmethod
+    def _make(cls, iterable) -> "HighestWeight":
+        # _replace builds through _make: keep it checked
+        return cls(*iterable)
 
     def sl3_part(self) -> "HighestWeight":
         """Forget the determinant power, on which no per-weight answer depends."""
@@ -51,7 +56,9 @@ class HighestWeight:
         return HighestWeight(self.m2, self.m1)
 
 
-@dataclass(frozen=True, slots=True)
+# eq=False: the Weyl elements and parabolics below are the only ones the
+# library makes, so they compare and hash by identity, in C
+@dataclass(frozen=True, slots=True, eq=False)
 class WeylElement:
     """An element of the Weyl group S3, acting by e_i |-> e_{perm[i-1]}."""
 
@@ -60,7 +67,7 @@ class WeylElement:
     reduced_word: tuple[int, ...]
     # source[j] is the i with perm[i] = j + 1: coordinate j of the image
     # is coordinate source[j] of the argument
-    source: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    source: tuple[int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if sorted(self.perm) != [1, 2, 3]:
@@ -105,7 +112,7 @@ POSITIVE_ROOTS: tuple[tuple[int, int, int], ...] = (ALPHA1, ALPHA2, ALPHA12)
 _NILRADICAL = {"P0": POSITIVE_ROOTS, "P1": (ALPHA1, ALPHA12), "P2": (ALPHA2, ALPHA12)}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Parabolic:
     """A standard parabolic subgroup: P0 minimal, P1/P2 the two maximal ones."""
 
@@ -156,7 +163,6 @@ def restrict_to_levi(w: WeylElement, lam: HighestWeight, p: Parabolic) -> GL2Wei
         raise TypeError(f"w must be a WeylElement, got {w!r}")
     if w not in kostant_set(p):
         raise ValueError(f"{w.name} is not a Kostant representative for {p.tag}")
-    # compare tags: the dataclass __eq__ of Parabolic is slow on this path
     if p.tag == "P0":
         raise ValueError("P0 has no Levi GL2: its Levi is the diagonal torus")
     c1, c2, c3 = w.dot(lam)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from sl3coh import HighestWeight, cli, sl3_euler_closed, traces
+import sl3coh
+from sl3coh import HighestWeight, cli, cohomology_report, sl3_euler_closed, traces
 from sl3coh.cli import main
 from sl3coh.rootsystem import WeylElement
 from test_acceptance import PINNED_TABLE
@@ -62,6 +63,29 @@ def test_cohomology_json_structure(capsys):
     assert report["ghost"]["2"] == "UndeterminedZeroOrOne"
     assert report["ghost"]["0"] == "Zero"
     assert report["total"] == {"self_dual": False, "inner_known": True}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [{}, []]},
+        {"n": [0, -2, 10**30], "flags": [True, False, None]},
+        {"s": 'quote " backslash \\ tab \t accent \u00e9 partial \u2202'},
+        cohomology_report(HighestWeight(0, 11)),
+        cohomology_report(HighestWeight(1, 0, 0)),
+    ],
+    ids=["dict", "list", "empties", "scalars", "escapes", "report", "vanishing"],
+)
+def test_json_text_is_json_dumps_with_indent_two(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "int key"}])
+def test_json_text_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def test_cohomology_gl3_vanishing(capsys):
@@ -419,6 +443,14 @@ USAGE_ERRORS = [
         ["cohomology", "--group", "sl3", "--m1", "x", "--m2", "0"],
         "sl3coh cohomology: error: argument --m1: not an integer: 'x'",
     ),
+    (
+        ["cohomology", "--group", "sl3", "--m1", "0", "--m2", "0", "--bogus"],
+        "sl3coh cohomology: error: unrecognized arguments: --bogus",
+    ),
+    (
+        ["euler-table", "--symbolic", "--bogus"],
+        "sl3coh euler-table: error: unrecognized arguments: --bogus",
+    ),
 ]
 
 
@@ -478,6 +510,100 @@ def test_no_call_builds_a_parser(capsys, monkeypatch):
     code, out = run(capsys, "euler-table", "--m1-max", "1", "--m2-max", "1")
     assert code == 0
     assert out.splitlines()[2] == "| 0 | 1 | 1 |"
+
+
+def _outcome(call, argv):
+    # stdout, stderr and exit code of one call, whether it returns or exits
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+_TOP_USAGE = "usage: sl3coh [-h] [--version] {cohomology,euler-table,verify} ...\n"
+
+# what these calls printed when every call went through the top-level
+# parser: stdout, stderr, the exit code, and whether both texts are pinned
+# whole; the help text and the list after "invalid choice" are argparse's
+# wording, which differs between Python versions, so only their start is
+_TOP_LEVEL_CALLS = {
+    "no_arguments": (
+        [],
+        "",
+        _TOP_USAGE + "sl3coh: error: the following arguments are required: command\n",
+        2,
+        True,
+    ),
+    "version": (["--version"], sl3coh.__version__ + "\n", "", 0, True),
+    "help": (["-h"], _TOP_USAGE + "\nBoundary and Eisenstein cohomology", "", 0, False),
+    "unknown_command": (
+        ["frob"],
+        "",
+        _TOP_USAGE + "sl3coh: error: argument command: invalid choice: 'frob'",
+        2,
+        False,
+    ),
+}
+
+
+@pytest.fixture
+def top_level_parse_raises(monkeypatch):
+    class ReachedTopLevel(Exception):
+        pass
+
+    def parse_args(*args, **kwargs):
+        raise ReachedTopLevel
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", parse_args)
+    return ReachedTopLevel
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--group", "gl3", "--m1", "2", "--m2", "3", "--m3", "1"],
+        ["euler-table", "--m1-max", "2", "--m2-max", "2", "--format", "csv"],
+        ["verify", "--max", "2"],
+    ],
+    ids=["cohomology", "euler_table", "verify"],
+)
+def test_a_subcommand_is_parsed_once(argv, top_level_parse_raises):
+    # each subcommand's own parser reads its arguments; the top-level one
+    # never sees them
+    out, err, code = _outcome(main, argv)
+    assert (err, code) == ("", 0)
+    assert out
+
+
+@pytest.mark.parametrize(
+    "argv", [call[0] for call in _TOP_LEVEL_CALLS.values()], ids=_TOP_LEVEL_CALLS
+)
+def test_the_rest_reaches_the_top_level_parser(argv, top_level_parse_raises):
+    with pytest.raises(top_level_parse_raises):
+        main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, want_out, want_err, want_code, whole",
+    _TOP_LEVEL_CALLS.values(),
+    ids=_TOP_LEVEL_CALLS,
+)
+def test_the_top_level_parser_prints_what_it_did(
+    argv, want_out, want_err, want_code, whole, monkeypatch
+):
+    # argparse wraps its usage line and help text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err, code = _outcome(main, argv)
+    assert code == want_code
+    if whole:
+        assert (out, err) == (want_out, want_err)
+    else:
+        assert out.startswith(want_out) and err.startswith(want_err)
+        # and a text pinned as empty stays empty
+        assert bool(out) == bool(want_out) and bool(err) == bool(want_err)
 
 
 # sha256 of the concatenated stdout of the golden cohomology sweep, and an
