@@ -222,9 +222,13 @@ def _on_square(at):
 
 
 def kostant(max_weight: int, seed: int) -> list[dict]:
-    """The Kostant sets of the two maximal parabolics."""
+    """The Kostant sets of the three standard parabolics."""
     failures = []
-    for p, want in ((P1, ["e", "s1", "s1s2"]), (P2, ["e", "s2", "s2s1"])):
+    for p, want in (
+        (P0, ["e", "s1", "s2", "s1s2", "s2s1", "s1s2s1"]),
+        (P1, ["e", "s1", "s1s2"]),
+        (P2, ["e", "s2", "s2s1"]),
+    ):
         got = [w.name for w in kostant_set(p)]
         if got != want:
             failures.append(_fail("kostant_set", {"parabolic": p.tag}, f"got {got}"))

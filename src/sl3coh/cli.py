@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -217,13 +216,9 @@ def cmd_verify(args) -> int:
         lines.append(f"  {name}: {status}")
     if report["ok"]:
         lines.append("all checks passed")
-        text = "\n".join(lines)
     else:
-        lines.append("failures:")
-        text = "\n".join(lines) + "\n" + json.dumps(
-            report["failures"], indent=2
-        )
-    _emit(text, args.out)
+        lines += ["failures:", _json_text(report["failures"])]
+    _emit("\n".join(lines), args.out)
     return 0 if report["ok"] else 1
 
 

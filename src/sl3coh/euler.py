@@ -10,7 +10,8 @@ Two routes for chi_h(SL3(Z), M_(m1,m2)):
 
 chi_h is periodic-plus-linear in (m1, m2) mod 12.  The 144 cells of its
 12 x 12 table are fitted from the torsion sum once, at import, so the
-parity split is typed in sl3_euler_closed only.
+parity split is typed in sl3_euler_closed only.  euler_values evaluates
+each cell once and steps twelve at a time from there.
 """
 from __future__ import annotations
 
@@ -91,16 +92,6 @@ class SymbolicCell:
             raise CrossCheckError(f"{self} does not divide at ({m1}, {m2})")
         return num // 12 + self.shift
 
-    def run(self, m1: int, m2: int, count: int) -> list[int]:
-        """The values at (m1, m2 + 12 t) for 0 <= t < count.
-
-        The numerator moves by a multiple of 12 along the run, so evaluate's
-        divisibility check at its first two weights covers every weight.
-        """
-        first = self.evaluate(m1, m2)
-        step = self.evaluate(m1, m2 + 12) - first
-        return list(range(first, first + step * count, step)) if step else [first] * count
-
     def render(self) -> str:
         if self.kind == "zero":
             return "0"
@@ -150,10 +141,11 @@ def symbolic_table() -> list[list[SymbolicCell]]:
 def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
     """chi_h over 0 <= m1 <= m1_max, 0 <= m2 <= m2_max, one row per m1.
 
-    Rows m1 < 12 are 12 residue runs m2 = j, j + 12, ... of the import-time
-    cells (SymbolicCell.run), each checked at its first two weights.  A later
-    row is the row twelve above plus each cell's m1 step, the a of its kind:
-    the numerator moves by 12 a, so those checks cover every entry.
+    Each import-time cell is evaluated once, with its divisibility check, at
+    its residue weight (i, j).  Every other entry is the entry twelve back
+    plus the cell's step along that axis, the (a, b) of its kind: b along m2
+    in rows 0..11, a along m1 in later rows.  The numerator moves by
+    12 x step, so the checks at the base weights cover every entry.
     """
     if type(m1_max) is not int or type(m2_max) is not int:
         raise TypeError(f"sweep bounds must be ints, got ({m1_max!r}, {m2_max!r})")
@@ -164,7 +156,9 @@ def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
     for m1 in range(min(m1_max, 11) + 1):
         row = [0] * width
         for j, cell in enumerate(_CELLS[m1][:width]):
-            row[j::12] = cell.run(m1, j, (width - 1 - j) // 12 + 1)
+            first, step = cell.evaluate(m1, j), _CELL_FORMS[cell.kind][1]
+            count = (width - 1 - j) // 12 + 1
+            row[j::12] = range(first, first + step * count, step) if step else [first] * count
         out.append(row)
     steps = [[_CELL_FORMS[cell.kind][0] for cell in row] * (width // 12 + 1) for row in _CELLS]
     for m1 in range(12, m1_max + 1):

@@ -1,6 +1,7 @@
 """The cross-route verification suite, and injected faults in every family."""
 import ast
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -582,13 +583,13 @@ def _ghost_rule_fault(monkeypatch):
     _replace_route(monkeypatch, clean, corrupted)
 
 
-def _kostant_set_fault(monkeypatch):
+def _kostant_set_fault(monkeypatch, tag="P1"):
     clean = rootsystem.Parabolic.nilradical_roots
 
     def corrupted(p):
-        # P1's nilradical without alpha1 + alpha2
+        # the nilradical of the parabolic tag without alpha1 + alpha2
         roots = clean(p)
-        if p.tag != "P1":
+        if p.tag != tag:
             return roots
         return tuple(r for r in roots if r != rootsystem.ALPHA12)
 
@@ -742,6 +743,10 @@ _FAULT_ROWS = [
     pytest.param(_ghost_rule_fault, "ghosts", "ghost_support", False, id="ghost_rule"),
     pytest.param(_kostant_set_fault, "kostant", "kostant_set", False, id="kostant_set"),
     pytest.param(
+        functools.partial(_kostant_set_fault, tag="P0"), "kostant", "kostant_set", False,
+        id="kostant_set_p0",
+    ),
+    pytest.param(
         _e1_degree_fault, "boundary_assembly", "boundary_assembly_raised", False,
         id="e1_degree",
     ),
@@ -787,6 +792,16 @@ def test_every_check_name_fires_under_some_fault():
     names = _registry_check_names()
     assert {"kostant_set", "ghost_support", "poincare_pair"} <= names
     assert names - {row.values[2] for row in _FAULT_ROWS} == set()
+
+
+@pytest.mark.parametrize(
+    "tag, got", [("P0", "['e', 's1', 's2']"), ("P1", "['e', 's1']")]
+)
+def test_a_kostant_set_fault_names_its_parabolic(monkeypatch, cold_boundary_caches, tag, got):
+    _kostant_set_fault(monkeypatch, tag)
+    assert checks.kostant(0, 0) == [
+        {"check": "kostant_set", "params": {"parabolic": tag}, "detail": f"got {got}"}
+    ]
 
 
 def test_the_survivor_parity_fault_fires_only_survivor_parity(

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sl3coh
-from sl3coh import HighestWeight, cli, cohomology_report, sl3_euler_closed, traces
+from sl3coh import HighestWeight, checks, cli, cohomology_report, sl3_euler_closed, traces
 from sl3coh.cli import main
 from sl3coh.rootsystem import WeylElement
 from test_acceptance import PINNED_TABLE
@@ -330,8 +330,10 @@ def test_verify_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(traces, "M6", bad)
     code, out = run(capsys, "verify", "--max", "6")
     assert code == 1
-    assert "failures:" in out
     assert "gt_trace_vs_closed_trace" in out
+    # the records print as json.dumps(..., indent=2) would print them
+    records = json.dumps(checks.run_all(6)["failures"], indent=2)
+    assert out.split("failures:\n", 1)[1] == records + "\n"
 
 
 def test_verify_exits_one_when_a_route_raises(capsys, monkeypatch, cold_boundary_caches):

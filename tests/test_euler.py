@@ -100,20 +100,21 @@ def test_symbolic_table_shape_and_consistency():
             assert table[i][j].evaluate(i, j) == sl3_euler_closed(HighestWeight(i, j))
 
 
-def test_symbolic_cell_runs_match_evaluate():
-    for i in range(12):
-        for j in range(12):
-            cell = symbolic_cell(i, j)
-            for m1, m2 in ((i, j), (i + 36, j + 120)):
-                for count in (0, 1, 2, 13):
-                    assert cell.run(m1, m2, count) == [
-                        cell.evaluate(m1, m2 + 12 * t) for t in range(count)
-                    ]
+@pytest.mark.parametrize("m1_max", [0, 11, 12, 13, 24, 25])
+def test_euler_values_step_from_the_base_weights(m1_max):
+    # every m2_max in 0..36 ends the rows in a partial or whole stretch of
+    # twelve steps along m2; rows 12, 13, 24 and 25 are the first stepped
+    # along m1
+    for m2_max in range(37):
+        assert euler_values(m1_max, m2_max) == [
+            [sl3_euler_closed(HighestWeight(m1, m2)) for m2 in range(m2_max + 1)]
+            for m1 in range(m1_max + 1)
+        ]
 
 
 def test_euler_values_match_the_closed_form():
     # the benchmark's 151 x 151 table: 13 weights in each of the first 7
-    # residue runs of a row, 12 in the other 5
+    # residues of a row, 12 in the other 5
     values = euler_values(150, 150)
     assert len(values) == 151 and all(len(row) == 151 for row in values)
     for m1, row in enumerate(values):
@@ -150,7 +151,7 @@ def test_a_wrong_cell_offset_raises_in_the_sweep(monkeypatch):
 
 @pytest.mark.parametrize("m1_max, m2_max", [(11, 4), (40, 40)])
 def test_a_wrong_cell_offset_in_the_last_evaluated_row_raises(monkeypatch, m1_max, m2_max):
-    # (11, 4) is an "m1" cell; m1 = 11 is the last row built from residue runs
+    # (11, 4) is an "m1" cell; m1 = 11 is the last row whose cells are evaluated
     _shift_offset(monkeypatch, 11, 4)
     with pytest.raises(CrossCheckError):
         euler_values(m1_max, m2_max)
