@@ -15,8 +15,8 @@ is None and mult copies of the level-one cusp forms S_k otherwise.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -29,16 +29,15 @@ from .rootsystem import P0, P1, P2, HighestWeight, restrict_to_levi
 _ONE_LINE = ((None, 1),)
 
 
-@dataclass(frozen=True, slots=True)
-class GradedProfile:
+class GradedProfile(namedtuple("GradedProfile", ("by_degree",))):
     """A graded sum of summands, degrees with no summands omitted.
 
-    A summand is a pair (k, mult): mult trivial lines when k is None, else
-    mult copies of the weight-k level-one cusp forms S_k.  Each degree
-    lists its trivial lines first, then its cusp summands by ascending k.
+    by_degree pairs each degree q, ascending, with its summands (k, mult):
+    mult trivial lines when k is None, else mult copies of the weight-k
+    level-one cusp forms S_k, trivial lines first, then by ascending k.
     """
 
-    by_degree: tuple[tuple[int, tuple[tuple[int | None, int], ...]], ...]
+    __slots__ = ()
 
     @classmethod
     def build(cls, data: Mapping[int, Mapping[int | None, int]]) -> "GradedProfile":
@@ -100,20 +99,14 @@ def _case_row(table: dict, lam: HighestWeight) -> GradedProfile:
     return GradedProfile.build(data)
 
 
-@dataclass(frozen=True, slots=True)
-class E1Term:
-    """One face contribution on the E1 page.
+E1Term = namedtuple("E1Term", ("parabolic", "w", "face_degree", "summands"))
+E1Term.__doc__ = """One face contribution on the E1 page.
 
-    parabolic and w name the face and its Kostant representative;
-    face_degree is the cohomological degree along the face (0 for invariant
-    lines, 1 for the modular-curve H^1 blocks), so the term lives in total
-    degree length(w) + face_degree.
-    """
-
-    parabolic: str
-    w: str
-    face_degree: int
-    summands: tuple[tuple[int | None, int], ...]
+parabolic and w name the face and its Kostant representative;
+face_degree is the cohomological degree along the face (0 for invariant
+lines, 1 for the modular-curve H^1 blocks), so the term lives in total
+degree length(w) + face_degree; summands are (k, mult) pairs.
+"""
 
 
 # A page is read by the one boundary_profile call that asked for it and

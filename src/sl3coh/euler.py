@@ -15,7 +15,7 @@ each cell once and steps twelve at a time from there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
@@ -63,8 +63,7 @@ _CELL_FORMS = {"zero": (0, 0, 0), "sum": (-1, -1, 1), "m1": (1, 0, -1), "m2": (0
 _FIT_STEPS = ((0, 0), (12, 0), (0, 12))
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolicCell:
+class SymbolicCell(namedtuple("SymbolicCell", ("kind", "offset", "shift"), defaults=(0, 0))):
     """One cell of the 12 x 12 Euler table.
 
     It evaluates to (a m1 + b m2 + c offset)/12 + shift with (a, b, c) =
@@ -73,17 +72,23 @@ class SymbolicCell:
     and 0 for "zero".  The division is exact for the cell's residues.
     """
 
-    kind: str
-    offset: int = 0
-    shift: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _CELL_FORMS:
-            raise ValueError(f"unknown cell kind {self.kind!r}")
-        if type(self.offset) is not int or type(self.shift) is not int:
+    def __new__(cls, kind: str, offset: int = 0, shift: int = 0) -> "SymbolicCell":
+        # built first: the errors below show its repr
+        self = tuple.__new__(cls, (kind, offset, shift))
+        if kind not in _CELL_FORMS:
+            raise ValueError(f"unknown cell kind {kind!r}")
+        if type(offset) is not int or type(shift) is not int:
             raise TypeError(f"offset and shift must be ints, got {self!r}")
-        if self.kind == "zero" and (self.offset or self.shift):
+        if kind == "zero" and (offset or shift):
             raise ValueError(f"a zero cell has no offset or shift, got {self!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "SymbolicCell":
+        # _replace builds through _make: keep it checked
+        return cls(*iterable)
 
     def evaluate(self, m1: int, m2: int) -> int:
         a, b, c = _CELL_FORMS[self.kind]

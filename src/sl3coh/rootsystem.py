@@ -11,7 +11,6 @@ positive roots alpha1 = e1 - e2, alpha2 = e2 - e3, alpha1 + alpha2.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .gl2 import GL2Weight
@@ -56,24 +55,28 @@ class HighestWeight(namedtuple("HighestWeight", ("m1", "m2", "m3"), defaults=(No
         return HighestWeight(self.m2, self.m1)
 
 
-# eq=False: the Weyl elements and parabolics below are the only ones the
-# library makes, so they compare and hash by identity, in C
-@dataclass(frozen=True, slots=True, eq=False)
-class WeylElement:
-    """An element of the Weyl group S3, acting by e_i |-> e_{perm[i-1]}."""
+class WeylElement(namedtuple("WeylElement", ("name", "perm", "reduced_word", "source"))):
+    """An element of the Weyl group S3, acting by e_i |-> e_{perm[i-1]}.
 
-    name: str
-    perm: tuple[int, int, int]
-    reduced_word: tuple[int, ...]
-    # source[j] is the i with perm[i] = j + 1: coordinate j of the image
-    # is coordinate source[j] of the argument
-    source: tuple[int, int, int] = field(init=False, repr=False)
+    source is derived from perm: source[j] is the i with perm[i] = j + 1,
+    so coordinate j of the image is coordinate source[j] of the argument.
+    """
 
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != [1, 2, 3]:
-            raise ValueError(f"perm must be a permutation of (1, 2, 3), got {self.perm!r}")
-        source = tuple(self.perm.index(j + 1) for j in range(3))
-        object.__setattr__(self, "source", source)
+    __slots__ = ()
+
+    def __new__(cls, name: str, perm: tuple, reduced_word: tuple) -> "WeylElement":
+        if sorted(perm) != [1, 2, 3]:
+            raise ValueError(f"perm must be a permutation of (1, 2, 3), got {perm!r}")
+        source = tuple(perm.index(j + 1) for j in range(3))
+        return tuple.__new__(cls, (name, perm, reduced_word, source))
+
+    @classmethod
+    def _make(cls, iterable) -> "WeylElement":
+        # _replace builds through _make: keep it checked, source derived again
+        return cls(*tuple(iterable)[:3])
+
+    def __getnewargs__(self) -> tuple:
+        return self[:3]  # what pickle and copy pass to __new__
 
     @property
     def length(self) -> int:
@@ -112,15 +115,20 @@ POSITIVE_ROOTS: tuple[tuple[int, int, int], ...] = (ALPHA1, ALPHA2, ALPHA12)
 _NILRADICAL = {"P0": POSITIVE_ROOTS, "P1": (ALPHA1, ALPHA12), "P2": (ALPHA2, ALPHA12)}
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Parabolic:
+class Parabolic(namedtuple("Parabolic", ("tag",))):
     """A standard parabolic subgroup: P0 minimal, P1/P2 the two maximal ones."""
 
-    tag: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tag not in _NILRADICAL:
-            raise ValueError(f"unknown parabolic {self.tag!r}")
+    def __new__(cls, tag: str) -> "Parabolic":
+        if tag not in _NILRADICAL:
+            raise ValueError(f"unknown parabolic {tag!r}")
+        return tuple.__new__(cls, (tag,))
+
+    @classmethod
+    def _make(cls, iterable) -> "Parabolic":
+        # _replace builds through _make: keep it checked
+        return cls(*iterable)
 
     def nilradical_roots(self) -> tuple[tuple[int, int, int], ...]:
         return _NILRADICAL[self.tag]
@@ -131,7 +139,7 @@ P1 = Parabolic("P1")
 P2 = Parabolic("P2")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a plain tuple equal to P1 must miss and raise
 def kostant_set(p: Parabolic) -> tuple[WeylElement, ...]:
     """Minimal-length coset representatives for the parabolic p.
 

@@ -32,7 +32,7 @@ for determinant-one elements, so the closed and determinant routes take
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
@@ -50,21 +50,15 @@ _ZETA_POWERS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class TorsionClass:
-    """A conjugacy class of finite-order elements in SL3(Z).
+TorsionClass = namedtuple("TorsionClass", ("label", "centralizer_chi", "resultant", "order"))
+TorsionClass.__doc__ = """A conjugacy class of finite-order elements in SL3(Z).
 
-    label names the class by the cyclotomic factorization of its
-    characteristic polynomial; centralizer_chi is the Euler characteristic
-    of the centralizer, resultant the number of classes sharing the
-    polynomial; order is the element order driving the trace (0 for the
-    identity class, whose trace term drops out of the Euler sum).
-    """
-
-    label: str
-    centralizer_chi: Fraction
-    resultant: int
-    order: int
+label names the class by the cyclotomic factorization of its
+characteristic polynomial; centralizer_chi is the Euler characteristic
+of the centralizer (a Fraction), resultant the number of classes sharing
+the polynomial; order is the element order driving the trace (0 for the
+identity class, whose trace term drops out of the Euler sum).
+"""
 
 
 SL3_TORSION_CLASSES: tuple[TorsionClass, ...] = (

@@ -1,4 +1,6 @@
 """Boundary cohomology: E1 page, the differential, and the nine-case formula."""
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -129,3 +131,39 @@ VALUES = [
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_value_types_are_slotted(value):
     assert not hasattr(value, "__dict__")
+    assert isinstance(value, tuple)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_survive_pickle(value):
+    # WeylElement's __new__ takes three of its four fields
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert copy == value
+
+
+# _replace builds through _make, so one bad field raises the constructor's
+# own error, text and all
+@pytest.mark.parametrize(
+    "value, change, error",
+    [
+        (HighestWeight(2, 4), {"m1": -1}, "weight must be dominant, got (-1, 4, 0)"),
+        (GL2Weight(2, 4), {"n": 3}, "a and n must have equal parity, got (2, 3)"),
+        (
+            SymbolicCell("zero"),
+            {"offset": 2},
+            "a zero cell has no offset or shift, "
+            "got SymbolicCell(kind='zero', offset=2, shift=0)",
+        ),
+        (
+            WeylElement("s1", (2, 1, 3), (1,)),
+            {"perm": (1, 1, 1)},
+            "perm must be a permutation of (1, 2, 3), got (1, 1, 1)",
+        ),
+        (Parabolic("P1"), {"tag": "P7"}, "unknown parabolic 'P7'"),
+    ],
+    ids=["HighestWeight", "GL2Weight", "SymbolicCell", "WeylElement", "Parabolic"],
+)
+def test_replace_keeps_validation(value, change, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        value._replace(**change)

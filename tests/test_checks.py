@@ -1,6 +1,5 @@
 """The cross-route verification suite, and injected faults in every family."""
 import ast
-import dataclasses
 import functools
 import os
 import subprocess
@@ -491,7 +490,7 @@ def _symbolic_cell_fault(monkeypatch):
         if cell.kind != "sum":
             return cell
         # every cell with both residues even is one too high
-        return dataclasses.replace(cell, shift=cell.shift + 1)
+        return cell._replace(shift=cell.shift + 1)
 
     _replace_route(monkeypatch, clean, corrupted)
 
@@ -500,7 +499,7 @@ def _torsion_class_fault(monkeypatch, extra=4):
     # the order-4 class counted extra more times: with 4 the sum stays
     # integral, with 1 it does not
     classes = tuple(
-        dataclasses.replace(c, resultant=c.resultant + extra) if c.order == 4 else c
+        c._replace(resultant=c.resultant + extra) if c.order == 4 else c
         for c in euler.SL3_TORSION_CLASSES
     )
     monkeypatch.setattr(euler, "SL3_TORSION_CLASSES", classes)

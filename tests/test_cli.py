@@ -383,6 +383,25 @@ def test_a_closed_stdout_keeps_the_exit_status(argv, setup, code):
     assert (proc.returncode, proc.stderr) == (code, b"")
 
 
+def test_the_package_import_loads_no_dataclasses_or_inspect():
+    # the stdlib modules the package uses come first, so the second import
+    # adds only what the package itself pulls in, on any Python
+    script = (
+        "import sys\n"
+        "import argparse, json, fractions, random, functools, collections\n"
+        "before = set(sys.modules)\n"
+        "import sl3coh, sl3coh.cli, sl3coh.checks\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=ENV, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "sl3coh.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added
+
+
 def test_out_writes_a_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, _ = run(

@@ -1,6 +1,4 @@
 """Euler characteristics of SL3(Z) and GL3(Z), both routes and the table."""
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,7 +129,7 @@ def test_euler_values_reject_negative_bounds():
 
 def _shift_offset(monkeypatch, i, j):
     cells = [list(row) for row in euler._CELLS]
-    cells[i][j] = dataclasses.replace(cells[i][j], offset=cells[i][j].offset + 1)
+    cells[i][j] = cells[i][j]._replace(offset=cells[i][j].offset + 1)
     monkeypatch.setattr(euler, "_CELLS", cells)
 
 

@@ -217,6 +217,21 @@ def test_levi_restriction_rejects_bad_input():
         sets[P1] = ()
 
 
+def test_value_types_compare_by_value():
+    # a user-built element is the library's: equal, same hash, same answers
+    s1 = WeylElement("s1", (2, 1, 3), (1,))
+    assert s1 == S1 and hash(s1) == hash(S1) and s1 is not S1
+    lam = HighestWeight(5, 2)
+    assert restrict_to_levi(s1, lam, P1) == restrict_to_levi(S1, lam, P1)
+    assert Parabolic("P1") == P1 and hash(Parabolic("P1")) == hash(P1)
+    assert kostant_set(Parabolic("P1")) is kostant_set(P1)
+    # a plain tuple equal to P1 still misses the cache and is refused
+    with pytest.raises(TypeError, match="p must be a Parabolic"):
+        kostant_set(("P1",))
+    # _replace derives source from the new perm, as the constructor does
+    assert S1._replace(name="s2", perm=(1, 3, 2), reduced_word=(2,)) == S2
+
+
 def test_parabolic_data():
     assert len(P0.nilradical_roots()) == 3
     assert len(P1.nilradical_roots()) == 2
