@@ -44,11 +44,12 @@ class GradedProfile(namedtuple("GradedProfile", ("by_degree",))):
         """The profile of degree -> {k: mult}, without zero multiplicities."""
         items = []
         for q in sorted(data):
+            mults = data[q]
+            lines = mults.get(None)
             # the trivial line (k None) before every weight k >= 2
-            row = sorted([(k, m) for k, m in data[q].items() if m and k is not None])
-            lines = data[q].get(None)
-            if lines:
-                row.insert(0, (None, lines))
+            row = [(None, lines)] if lines else []
+            if len(mults) > (lines is not None):  # some cusp summand
+                row += sorted([(k, m) for k, m in mults.items() if m and k is not None])
             if row:
                 items.append((q, tuple(row)))
         return cls(by_degree=tuple(items))
@@ -65,11 +66,24 @@ class GradedProfile(namedtuple("GradedProfile", ("by_degree",))):
     def dimension(self, q: int) -> int:
         return _dimension(self.summands(q))
 
+    def dimensions(self) -> list[int]:
+        """The dimension in each degree 0..4, in one pass."""
+        dims = [0, 0, 0, 0, 0]
+        for q, s in self.by_degree:
+            dims[q] = _dimension(s)
+        return dims
+
     def total_dimension(self) -> int:
-        return sum(_dimension(s) for _, s in self.by_degree)
+        total = 0
+        for _, s in self.by_degree:
+            total += _dimension(s)
+        return total
 
     def euler_characteristic(self) -> int:
-        return sum(-_dimension(s) if q % 2 else _dimension(s) for q, s in self.by_degree)
+        chi = 0
+        for q, s in self.by_degree:
+            chi += -_dimension(s) if q % 2 else _dimension(s)
+        return chi
 
     def multiset(self, q: int) -> dict:
         """Summand multiplicities at degree q, k -> mult."""
@@ -78,7 +92,10 @@ class GradedProfile(namedtuple("GradedProfile", ("by_degree",))):
 
 def _dimension(summands: tuple[tuple[int | None, int], ...]) -> int:
     """The dimension of one degree's summands."""
-    return sum(m if k is None else m * dim_cusp_forms(k) for k, m in summands)
+    dim = 0
+    for k, m in summands:
+        dim += m if k is None else m * dim_cusp_forms(k)
+    return dim
 
 
 def _case_row(table: dict, lam: HighestWeight) -> GradedProfile:
@@ -88,15 +105,27 @@ def _case_row(table: dict, lam: HighestWeight) -> GradedProfile:
     S_k with k = form + shift, form one of m1, m2 and m1+m2; a repeated
     summand adds to its multiplicity.
     """
-    forms = {"m1": lam.m1, "m2": lam.m2, "m1+m2": lam.m1 + lam.m2}
+    m1, m2, _ = lam
+    forms = {"m1": m1, "m2": m2, "m1+m2": m1 + m2}
     data = {}
     for q, summands in table[case_classifier(lam)].items():
+        parsed = _PARSED.get(summands)
+        if parsed is None:
+            parsed = _PARSED[summands] = tuple(map(_parse, summands))
         row = data[q] = {}
-        for s in summands:
-            form, _, shift = s.rpartition("+")
-            k = None if s == "1" else forms[form] + int(shift)
+        for form, shift in parsed:
+            k = None if form is None else forms[form] + shift
             row[k] = row.get(k, 0) + 1
     return GradedProfile.build(data)
+
+
+# summand strings -> (form, shift) pairs: an edited row is parsed afresh
+_PARSED: dict[tuple[str, ...], tuple] = {}
+
+
+def _parse(s: str) -> tuple[str | None, int]:
+    form, _, shift = s.rpartition("+")
+    return (None, 0) if s == "1" else (form, int(shift))
 
 
 E1Term = namedtuple("E1Term", ("parabolic", "w", "face_degree", "summands"))
@@ -122,23 +151,23 @@ def e1_page(lam: HighestWeight) -> tuple[MappingProxyType, MappingProxyType]:
     for w in sets[P0]:
         col1.setdefault(w.length, []).append(E1Term(P0.tag, w.name, 0, _ONE_LINE))
     for p in (P1, P2):
+        tag = p.tag
         for w in sets[p]:
             r = restrict_to_levi(w, lam, p)
-            if r.a == 0:
-                col0.setdefault(w.length, []).append(E1Term(p.tag, w.name, 0, _ONE_LINE))
+            a = r.a
+            if a == 0:
+                col0.setdefault(w.length, []).append(E1Term(tag, w.name, 0, _ONE_LINE))
                 continue
-            summands = ((r.a + 2, 1),)
-            if h1_split(r):
-                summands += ((None, 1),)
-            col0.setdefault(w.length + 1, []).append(E1Term(p.tag, w.name, 1, summands))
-    if not all(0 <= q <= 3 for q in (*col0, *col1)):
+            summands = ((a + 2, 1), (None, 1)) if h1_split(r) else ((a + 2, 1),)
+            col0.setdefault(w.length + 1, []).append(E1Term(tag, w.name, 1, summands))
+    if not {*col0, *col1} <= {0, 1, 2, 3}:
         raise CrossCheckError(
             f"E1 page of {lam} outside degrees 0..3: columns {col0}, {col1}"
         )
     # read-only: the cache hands the same two objects to every caller
     return (
-        MappingProxyType({q: tuple(col0[q]) for q in sorted(col0)}),
-        MappingProxyType({q: tuple(col1[q]) for q in sorted(col1)}),
+        MappingProxyType({q: tuple(ts) for q, ts in sorted(col0.items())}),
+        MappingProxyType({q: tuple(ts) for q, ts in sorted(col1.items())}),
     )
 
 
@@ -166,24 +195,32 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     formula, or CrossCheckError is raised.
     """
     col0, col1 = e1_page(lam)
-    by_degree: dict[int, dict[int | None, int]] = {}
+    by_degree = []
     missed = 0
     for q in range(4):
         rank = d1_rank(lam, col0, col1, q)
-        row = by_degree[q] = {}
+        # quotient by the image: rank fewer of the mapping lines
+        lines, cusp = -rank, {}
         for t in col0.get(q, ()):
             for k, m in t.summands:
-                row[k] = row.get(k, 0) + m
-        # quotient by the image: rank fewer of the mapping lines
-        lines = row.get(None, 0) - rank
+                if k is None:
+                    lines += m
+                else:
+                    cusp[k] = cusp.get(k, 0) + m
         if lines < 0:
             raise CrossCheckError(f"rank 1 with no line to map at {lam}, q={q}")
-        # plus the column-1 lines d1 missed one degree down
-        row[None] = lines + missed
+        # plus the column-1 lines d1 missed one degree down, first in the row
+        lines += missed
+        row = ((None, lines),) if lines else ()
+        if cusp:
+            row += tuple(sorted(cusp.items()))
+        if row:
+            by_degree.append((q, row))
         # the column-1 lines d1 misses, in total degree q + 1
         missed = len(col1.get(q, ())) - rank
-    by_degree[4] = {None: missed}
-    profile = GradedProfile.build(by_degree)
+    if missed:
+        by_degree.append((4, ((None, missed),)))
+    profile = GradedProfile(tuple(by_degree))
     if cross_check:
         expected = case_profile(lam)
         if profile != expected:

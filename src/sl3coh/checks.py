@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from itertools import product, starmap
 
 from . import traces
 from .boundary import boundary_profile, case_profile
@@ -117,14 +118,14 @@ def survivors_at(lam: HighestWeight) -> Iterator[dict]:
     for p in (P1, P2):
         for w in kostant_set(p):
             r = restrict_to_levi(w, lam, p)
-            if w in sets[p] and r.n % 2 != 0:
+            if r.n % 2 != 0 and w in sets[p]:
                 yield _fail(
                     "survivor_parity",
                     _at(lam, parabolic=p.tag, w=w.name),
                     f"survivor has (a, n) = ({r.a}, {r.n})",
                 )
             a, n = _LEVI_AN[p.tag, w.name](lam.m1, lam.m2)
-            if (r.a, r.n) != (a, n):
+            if r != (a, n):
                 yield _fail(
                     "levi_weight",
                     _at(lam, parabolic=p.tag, w=w.name),
@@ -133,22 +134,22 @@ def survivors_at(lam: HighestWeight) -> Iterator[dict]:
                 )
     mirror = survivor_sets(lam.dual())
     pairs = ((sets[P1], mirror[P2]), (sets[P2], mirror[P1]), (sets[P0], mirror[P0]))
-    if any(
-        sorted(_SWAP[w.name] for w in ws) != sorted(w.name for w in mirrored)
-        for ws, mirrored in pairs
-    ):
-        yield _fail(
-            "survivor_reflection",
-            _at(lam),
-            "survivor sets do not mirror under (m1, m2) swap",
-        )
+    for ws, mirrored in pairs:
+        if sorted([_SWAP[w.name] for w in ws]) != sorted([w.name for w in mirrored]):
+            yield _fail(
+                "survivor_reflection",
+                _at(lam),
+                "survivor sets do not mirror under (m1, m2) swap",
+            )
+            break
 
 
 def boundary_at(lam: HighestWeight) -> Iterator[dict]:
     """Spectral sequence output equals the closed case formulas."""
     built = boundary_profile(lam, cross_check=False)
     expected = case_profile(lam)
-    for q in range(5):
+    # equal profiles agree in every degree: walk the degrees only if not
+    for q in range(5) if built != expected else ():
         if built.summands(q) != expected.summands(q):
             yield _fail(
                 "boundary_profile_vs_case_formula",
@@ -174,24 +175,25 @@ def identities_at(lam: HighestWeight) -> Iterator[dict]:
     if eis.summands(1):
         yield _fail("eisenstein_h1_vanishes", _at(lam), f"H^1_Eis is {eis.multiset(1)}")
     bd = case_profile(lam)
-    bd_dual = case_profile(dual)
+    dims, dual_dims = bd.dimensions(), case_profile(dual).dimensions()
     for q in range(5):
-        if bd.dimension(q) != bd_dual.dimension(4 - q):
+        if dims[q] != dual_dims[4 - q]:
             yield _fail(
                 "boundary_duality",
                 _at(lam, q=q),
-                f"dim H^{q} = {bd.dimension(q)} but dual "
-                f"dim H^{4 - q} = {bd_dual.dimension(4 - q)}",
+                f"dim H^{q} = {dims[q]} but dual dim H^{4 - q} = {dual_dims[4 - q]}",
             )
-    for q in range(4):
-        eis_ms = eis.multiset(q)
+    # each degree 0..3 where H_Eis has summands
+    for q, summands in eis.by_degree:
         bd_ms = bd.multiset(q)
-        if any(eis_ms[key] > bd_ms.get(key, 0) for key in eis_ms):
-            yield _fail(
-                "eisenstein_inside_boundary",
-                _at(lam, q=q),
-                f"Eisenstein {eis_ms} not inside boundary {bd_ms}",
-            )
+        for k, m in summands if 0 <= q <= 3 else ():
+            if m > bd_ms.get(k, 0):
+                yield _fail(
+                    "eisenstein_inside_boundary",
+                    _at(lam, q=q),
+                    f"Eisenstein {dict(summands)} not inside boundary {bd_ms}",
+                )
+                break
 
 
 def ghosts_at(lam: HighestWeight) -> Iterator[dict]:
@@ -207,8 +209,7 @@ def ghosts_at(lam: HighestWeight) -> Iterator[dict]:
 
 def _square(max_weight: int) -> Iterator[HighestWeight]:
     """The weights 0 <= m1, m2 <= max_weight, row by row."""
-    side = range(max_weight + 1)
-    return (HighestWeight(m1, m2) for m1 in side for m2 in side)
+    return starmap(HighestWeight, product(range(max_weight + 1), repeat=2))
 
 
 def _sweep(weights, *comparisons) -> list[dict]:

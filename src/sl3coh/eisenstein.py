@@ -47,16 +47,14 @@ def eisenstein_case_profile(lam: HighestWeight) -> GradedProfile:
 
 def _identities(lam: HighestWeight, eis: GradedProfile, dual: HighestWeight) -> dict:
     """The three identities at lam, given its Eisenstein profile and dual weight."""
-    eis_dual = eisenstein_case_profile(dual)
-    bd = case_profile(lam)
-    bd_dual = case_profile(dual)
+    e0, e1, e2, e3, e4 = eis_dims = eis.dimensions()
+    b0, b1, b2, b3, b4 = bd_dims = case_profile(lam).dimensions()
+    chi_eis = e0 - e1 + e2 - e3 + e4
     return {
-        "chi_eis_equals_chi_h": eis.euler_characteristic()
-        == sl3_euler_closed(lam),
-        "half_boundary": 2 * eis.euler_characteristic()
-        == bd.euler_characteristic(),
-        "poincare_pair": 2 * (eis.total_dimension() + eis_dual.total_dimension())
-        == bd.total_dimension() + bd_dual.total_dimension(),
+        "chi_eis_equals_chi_h": chi_eis == sl3_euler_closed(lam),
+        "half_boundary": 2 * chi_eis == b0 - b1 + b2 - b3 + b4,
+        "poincare_pair": 2 * (sum(eis_dims) + eisenstein_case_profile(dual).total_dimension())
+        == sum(bd_dims) + case_profile(dual).total_dimension(),
     }
 
 

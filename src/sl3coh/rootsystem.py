@@ -52,7 +52,8 @@ class HighestWeight(namedtuple("HighestWeight", ("m1", "m2", "m3"), defaults=(No
 
     def dual(self) -> "HighestWeight":
         """Highest weight of the contragredient SL3 representation."""
-        return HighestWeight(self.m2, self.m1)
+        # the swapped coordinates of a checked weight: no need to check again
+        return tuple.__new__(HighestWeight, (self[1], self[0], None))
 
 
 class WeylElement(namedtuple("WeylElement", ("name", "perm", "reduced_word", "source"))):
@@ -88,9 +89,10 @@ class WeylElement(namedtuple("WeylElement", ("name", "perm", "reduced_word", "so
         SL3 weights take m3 = 0 and are not normalized mod (1, 1, 1);
         restrict_to_levi reads only that class.
         """
-        m3 = lam.m3 or 0
+        m1, m2, m3 = lam
+        m3 = m3 or 0
         # lam + rho, with rho = (1, 0, -1)
-        shifted = (lam.m1 + lam.m2 + m3 + 1, lam.m2 + m3, m3 - 1)
+        shifted = (m1 + m2 + m3 + 1, m2 + m3, m3 - 1)
         i, j, k = self.source
         return shifted[i] - 1, shifted[j], shifted[k] + 1
 
@@ -171,9 +173,10 @@ def restrict_to_levi(w: WeylElement, lam: HighestWeight, p: Parabolic) -> GL2Wei
         raise TypeError(f"w must be a WeylElement, got {w!r}")
     if w not in kostant_set(p):
         raise ValueError(f"{w.name} is not a Kostant representative for {p.tag}")
-    if p.tag == "P0":
+    tag = p.tag
+    if tag == "P0":
         raise ValueError("P0 has no Levi GL2: its Levi is the diagonal torus")
     c1, c2, c3 = w.dot(lam)
-    if p.tag == "P1":
+    if tag == "P1":
         return GL2Weight(c2 - c3, c2 + c3 - 2 * c1)
     return GL2Weight(c1 - c2, c1 + c2 - 2 * c3)

@@ -86,10 +86,11 @@ def gt_trace(m1: int, m2: int, m3: int, k: int) -> int:
     """
     check_weight(m1, m2, m3)
     _check_order(k)
-    constant, *linear = _gt_coordinates(m1, m2, m3, k)
+    coordinates = _gt_coordinates(m1, m2, m3, k)
+    constant = coordinates[0]
     # phi(k) <= 2: at most one coordinate besides the constant
-    if any(linear):
-        raise CrossCheckError(f"{constant} + {linear[0]} zeta_{k} is not an integer")
+    if len(coordinates) > 1 and coordinates[1]:
+        raise CrossCheckError(f"{constant} + {coordinates[1]} zeta_{k} is not an integer")
     return constant
 
 

@@ -113,6 +113,10 @@ def test_graded_profile_helpers():
     assert profile.dimension(1) == 3
     assert profile.total_dimension() == 3
     assert profile.euler_characteristic() == -3
+    assert (profile.dimensions(), GradedProfile(by_degree=()).dimensions()) == (
+        [0, 3, 0, 0, 0],
+        [0, 0, 0, 0, 0],
+    )
 
 
 # one instance of each value type; the per-weight caches keep many of them

@@ -1,6 +1,8 @@
 """The cross-route verification suite, and injected faults in every family."""
 import ast
 import functools
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -770,6 +772,58 @@ def test_each_family_fails_when_its_route_is_corrupted(
     )
     if spot:
         assert check in {f["check"] for f in spots}
+
+
+# sha256 of json.dumps(run_all(6), sort_keys=True) under each fault row:
+# the rows above name a check, these pin every record, its order,
+# parameters and text
+_FAULT_DIGESTS = {
+    "case_profile": "f128fede940daefb3d5422ba8a42c79356d6ba51a10451dbeaad120e1f838cc4",
+    "case_profile_duality": "f128fede940daefb3d5422ba8a42c79356d6ba51a10451dbeaad120e1f838cc4",
+    "case_profile_eisenstein_inside": "f128fede940daefb3d5422ba8a42c79356d6ba51a10451dbeaad120e1f838cc4",
+    "eisenstein_case_profile": "f8f68eeb3fb8eecad20ee244387838a4c8569bf91989e85d9505215807f1f680",
+    "eisenstein_half_boundary": "f8f68eeb3fb8eecad20ee244387838a4c8569bf91989e85d9505215807f1f680",
+    "eisenstein_poincare_pair": "f8f68eeb3fb8eecad20ee244387838a4c8569bf91989e85d9505215807f1f680",
+    "eisenstein_h1_case2": "f307b65f3fbe15c898592ec3fd4aa3be3937103a1905f702386efb34d1f8f3cc",
+    "eisenstein_h1_case3": "b86324d66c1d3c6c8113223d0ccbcd7773dc42fae75852cda29ee1efd3d709d7",
+    "eisenstein_h1_case4_line": "4e07d4d8487d08883848e76f49cff6ae68fc6123d9ceef2d8ac5fc5cb7659480",
+    "eisenstein_h1_case4_m1": "744e7811a5bf00583b0b09fa50bb850fd4ff49d2aeeab5bcd86fdaf812b9c316",
+    "eisenstein_h1_case4_m2": "21b6d14f53998fac7d09ad6323281b760cd7424376e826e188fd60894e1274d5",
+    "eisenstein_h1_case5": "aaee5c4c402fce5c59e63d5c568471543bf3d4034462fb717332ca016b7c6a7f",
+    "eisenstein_h1_case8": "74d37ef9b20eca25b91f0ed1af6ca242625bea00289a1041fb0f3ddffeb92c1e",
+    "symbolic_cell": "49b00adc03b9d4f9fd45f85e56f8e835812ef7528eda1ce222974119d38263f9",
+    "torsion_class": "c0601e3f8e76037dd46c2e6a12a5a87ee6cc7a48e950c8e8161e5cdb53bbf78e",
+    "sl3_euler_closed": "47f3ed1db47621ee3fc6f4256900efca7b4ae9ce6e99b9ad07afa65b07e907af",
+    "gl2_euler": "f772f8b2d06060451e6d8aa4ab6054c6228ce7bc31243e2c9bcaa8929fe950f0",
+    "sl2_euler": "9c402c6a38ce0e444aee741854cabe72778aed72d5a2b9f59e8d980a7aef61f4",
+    "cusp_dimension": "b6cc88313b2518b19430502edbd1a20367d4b602fb482efb309b5e09a65684a8",
+    "zeta_table": "5f85359347bd96c48b367914f95211312367be82ae2d63b81c3125ab80cb578a",
+    "gt_m3": "f9ed0584b7eb86e3864c3c9418fc5f533866e9b495a84d64b898c811cf492dc8",
+    "gt_beyond_bound_closed": "950c7f5689fb6a73a70a5f409f570f666c273d4fe1d725f50d3313c060e8ff33",
+    "gt_beyond_bound_weyl_det": "950c7f5689fb6a73a70a5f409f570f666c273d4fe1d725f50d3313c060e8ff33",
+    "gt_table": "ee2e1f193ac799bff2288f26ab5e557d32e829d87f0f2a626af09988788ef966",
+    "h_table": "2d923628fc0678aa1bd8881d22c430cf00847af1ddbac3264cfed6b6bce26a56",
+    "survivor_parity": "5996f3e894fa9e2111a27fe3fa79b91013ded1bc57fa830af1a9b36d0443c8e9",
+    "minimal_survivor": "37ef1cb6d6fdb8037ce136d698c0cd160d9f766f15b5ebb633fdd006d7183a99",
+    "levi_weight": "4a3d84c432b255d5cdf0b977ddf3044bce48699125bcf566930cf014b766d167",
+    "survivor_a0": "c1e3784e25bc9f22baefc8c3f668000ab1a8e294726fe78a3db9f046f6c9d5c6",
+    "ghost_rule": "8028af84c0155b5b4c8e67337d0232ff85cdc54497eadc059c14ee3bfa24278c",
+    "kostant_set": "03e768762333d285195fe3e2f660c00d5aa9e9d1de1df4ed85d735c6f18ef6f8",
+    "kostant_set_p0": "1aeb92cee9b30a4f3ba37c5ca0d62845033545c62805d60d72189174c500f3ce",
+    "e1_degree": "1b4d2d26a25db344ef2da0cbe63f29fbc503e1e64090144e4adfb27455c9c8af",
+}
+
+
+@pytest.mark.parametrize(
+    "fault, digest",
+    [pytest.param(row.values[0], _FAULT_DIGESTS[row.id], id=row.id) for row in _FAULT_ROWS],
+)
+def test_each_fault_row_keeps_its_records(
+    monkeypatch, cold_boundary_caches, cold_h_row, fault, digest
+):
+    fault(monkeypatch)
+    report = json.dumps(run_all(max_weight=6), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 def _registry_check_names():

@@ -2,8 +2,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sl3coh.boundary import boundary_profile, case_profile, e1_page
+from sl3coh.boundary import BOUNDARY_CASES, boundary_profile, case_profile, e1_page
 from sl3coh.eisenstein import (
+    EISENSTEIN_CASES,
     GHOST_DEGREES,
     UNDETERMINED,
     ZERO,
@@ -39,6 +40,17 @@ def test_eisenstein_case_profiles(case):
     assert case_classifier(lam) == case
     assert profile.by_degree == tuple(sorted(expected.items()))
 
+
+
+def test_an_edited_case_row_is_read_after_first_use(monkeypatch, cold_boundary_caches):
+    # the parsed summands are keyed by their strings, not by table and case
+    lam = HighestWeight(2, 3)  # case 5
+    case_profile(lam), eisenstein_case_profile(lam)
+    monkeypatch.setitem(BOUNDARY_CASES[5], 2, ("m1+m2+5",))
+    monkeypatch.setitem(EISENSTEIN_CASES[5], 2, ("1", "m2+7"))
+    case_profile.cache_clear()
+    assert case_profile(lam).summands(2) == ((10, 1),)
+    assert eisenstein_case_profile(lam).summands(2) == ((None, 1), (10, 1))
 
 def test_chi_eis_pins():
     def chi_eis(m1, m2):
