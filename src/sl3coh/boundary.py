@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import lru_cache
-from types import MappingProxyType
+from functools import cache, lru_cache
 
 from .errors import CrossCheckError
 from .gl2 import dim_cusp_forms, h1_split
@@ -54,17 +53,11 @@ class GradedProfile(namedtuple("GradedProfile", ("by_degree",))):
                 items.append((q, tuple(row)))
         return cls(by_degree=tuple(items))
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.by_degree)
-
     def summands(self, q: int) -> tuple[tuple[int | None, int], ...]:
         for deg, s in self.by_degree:
             if deg == q:
                 return s
         return ()
-
-    def dimension(self, q: int) -> int:
-        return _dimension(self.summands(q))
 
     def dimensions(self) -> list[int]:
         """The dimension in each degree 0..4, in one pass."""
@@ -109,23 +102,22 @@ def _case_row(table: dict, lam: HighestWeight) -> GradedProfile:
     forms = {"m1": m1, "m2": m2, "m1+m2": m1 + m2}
     data = {}
     for q, summands in table[case_classifier(lam)].items():
-        parsed = _PARSED.get(summands)
-        if parsed is None:
-            parsed = _PARSED[summands] = tuple(map(_parse, summands))
         row = data[q] = {}
-        for form, shift in parsed:
+        for form, shift in _parsed(summands):
             k = None if form is None else forms[form] + shift
             row[k] = row.get(k, 0) + 1
     return GradedProfile.build(data)
 
 
-# summand strings -> (form, shift) pairs: an edited row is parsed afresh
-_PARSED: dict[tuple[str, ...], tuple] = {}
-
-
-def _parse(s: str) -> tuple[str | None, int]:
-    form, _, shift = s.rpartition("+")
-    return (None, 0) if s == "1" else (form, int(shift))
+# keyed by the summand strings themselves: an edited row is parsed afresh
+@cache
+def _parsed(summands: tuple[str, ...]) -> tuple[tuple[str | None, int], ...]:
+    """Each summand string as a pair (form, shift), "1" as (None, 0)."""
+    pairs = []
+    for s in summands:
+        form, _, shift = s.rpartition("+")
+        pairs.append((None, 0) if s == "1" else (form, int(shift)))
+    return tuple(pairs)
 
 
 E1Term = namedtuple("E1Term", ("parabolic", "w", "face_degree", "summands"))
@@ -138,12 +130,10 @@ degree length(w) + face_degree; summands are (k, mult) pairs.
 """
 
 
-# A page is read by the one boundary_profile call that asked for it and
-# never again for the same weight (0 hits across weights), so only a few
-# recent pages are kept.  It stays an lru_cache only because the
-# benchmark's tracer reads its cache_info().
-@lru_cache(maxsize=8)
-def e1_page(lam: HighestWeight) -> tuple[MappingProxyType, MappingProxyType]:
+# A page is read once, by the boundary_profile call that asked for it:
+# maxsize 0 stores none and keeps the cache_info() the benchmark reads.
+@lru_cache(maxsize=0)
+def e1_page(lam: HighestWeight) -> tuple[dict, dict]:
     """The E1 page's columns (col0, col1), each total degree -> its E1Terms."""
     sets = survivor_sets(lam)
     col0: dict[int, list[E1Term]] = {}
@@ -164,11 +154,7 @@ def e1_page(lam: HighestWeight) -> tuple[MappingProxyType, MappingProxyType]:
         raise CrossCheckError(
             f"E1 page of {lam} outside degrees 0..3: columns {col0}, {col1}"
         )
-    # read-only: the cache hands the same two objects to every caller
-    return (
-        MappingProxyType({q: tuple(ts) for q, ts in sorted(col0.items())}),
-        MappingProxyType({q: tuple(ts) for q, ts in sorted(col1.items())}),
-    )
+    return tuple({q: tuple(ts) for q, ts in sorted(col.items())} for col in (col0, col1))
 
 
 def d1_rank(lam: HighestWeight, col0: Mapping, col1: Mapping, q: int) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import product, starmap
 
 from . import traces
@@ -207,9 +208,10 @@ def ghosts_at(lam: HighestWeight) -> Iterator[dict]:
             )
 
 
-def _square(max_weight: int) -> Iterator[HighestWeight]:
-    """The weights 0 <= m1, m2 <= max_weight, row by row."""
-    return starmap(HighestWeight, product(range(max_weight + 1), repeat=2))
+@lru_cache(maxsize=1)
+def _square(max_weight: int) -> tuple[HighestWeight, ...]:
+    """The weights 0 <= m1, m2 <= max_weight, row by row, built once per bound."""
+    return tuple(starmap(HighestWeight, product(range(max_weight + 1), repeat=2)))
 
 
 def _sweep(weights, *comparisons) -> list[dict]:

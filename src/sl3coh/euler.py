@@ -10,13 +10,15 @@ Two routes for chi_h(SL3(Z), M_(m1,m2)):
 
 chi_h is periodic-plus-linear in (m1, m2) mod 12.  The 144 cells of its
 12 x 12 table are fitted from the torsion sum once, at import, so the
-parity split is typed in sl3_euler_closed only.  euler_values evaluates
-each cell once and steps twelve at a time from there.
+parity split is typed in sl3_euler_closed only; a sum that does not fit
+raises at each read of the cells instead.  euler_values evaluates each
+cell once and steps twelve at a time from there.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from operator import add
 
 from .errors import CrossCheckError
@@ -126,7 +128,16 @@ def _fit_cell(i: int, j: int) -> SymbolicCell:
     return SymbolicCell(kind, -c * (a * i + b * j), shift)
 
 
-_CELLS = tuple(tuple(_fit_cell(i, j) for j in range(12)) for i in range(12))
+@cache
+def _cells() -> tuple[tuple[SymbolicCell, ...], ...]:
+    """The 144 fitted cells, rows indexed by m1 mod 12, columns by m2 mod 12."""
+    return tuple(tuple(_fit_cell(i, j) for j in range(12)) for i in range(12))
+
+
+try:  # fitted at load, not in the first call; verify records a bad fit
+    _cells()
+except CrossCheckError:
+    pass
 
 
 def symbolic_cell(i: int, j: int) -> SymbolicCell:
@@ -135,18 +146,18 @@ def symbolic_cell(i: int, j: int) -> SymbolicCell:
         raise TypeError(f"residues must be ints, got ({i!r}, {j!r})")
     if not (0 <= i < 12 and 0 <= j < 12):
         raise ValueError(f"residues must be in 0..11, got ({i}, {j})")
-    return _CELLS[i][j]
+    return _cells()[i][j]
 
 
 def symbolic_table() -> list[list[SymbolicCell]]:
     """All 144 cells, rows indexed by m1 mod 12, columns by m2 mod 12."""
-    return [list(row) for row in _CELLS]
+    return [list(row) for row in _cells()]
 
 
 def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
     """chi_h over 0 <= m1 <= m1_max, 0 <= m2 <= m2_max, one row per m1.
 
-    Each import-time cell is evaluated once, with its divisibility check, at
+    Each fitted cell is evaluated once, with its divisibility check, at
     its residue weight (i, j).  Every other entry is the entry twelve back
     plus the cell's step along that axis, the (a, b) of its kind: b along m2
     in rows 0..11, a along m1 in later rows.  The numerator moves by
@@ -156,16 +167,16 @@ def euler_values(m1_max: int, m2_max: int) -> list[list[int]]:
         raise TypeError(f"sweep bounds must be ints, got ({m1_max!r}, {m2_max!r})")
     if m1_max < 0 or m2_max < 0:
         raise ValueError("sweep bounds must be >= 0")
-    width = m2_max + 1
+    cells, width = _cells(), m2_max + 1
     out = []
     for m1 in range(min(m1_max, 11) + 1):
         row = [0] * width
-        for j, cell in enumerate(_CELLS[m1][:width]):
+        for j, cell in enumerate(cells[m1][:width]):
             first, step = cell.evaluate(m1, j), _CELL_FORMS[cell.kind][1]
             count = (width - 1 - j) // 12 + 1
             row[j::12] = range(first, first + step * count, step) if step else [first] * count
         out.append(row)
-    steps = [[_CELL_FORMS[cell.kind][0] for cell in row] * (width // 12 + 1) for row in _CELLS]
+    steps = [[_CELL_FORMS[cell.kind][0] for cell in row] * (width // 12 + 1) for row in cells]
     for m1 in range(12, m1_max + 1):
         out.append(list(map(add, out[m1 - 12], steps[m1 % 12])))
     return out

@@ -52,8 +52,8 @@ _GL2_EULER = ((1, 0, 0, 0, 0, -1), (0, -1, -1, -1, -1, -2))
 _SL2_EULER = (1, -1, -1, -1, -1, -3)
 
 
-# typed: a float k must miss the entry of the equal int and raise
-@lru_cache(maxsize=None, typed=True)
+# stores nothing (a hit costs what the formula does); keeps cache_info()
+@lru_cache(maxsize=0)
 def dim_cusp_forms(k: int) -> int:
     """dim S_k for level one, k >= 2; 0 for odd k and for k = 2."""
     if type(k) is not int:

@@ -1,21 +1,22 @@
 """Fixtures shared by the fault-injection tests."""
 import pytest
 
-from sl3coh import boundary, parity, rootsystem, traces
+from sl3coh import boundary, euler, parity, rootsystem, traces
 
 CACHES = (
     parity.survivor_sets,
-    boundary.e1_page,
     boundary.case_profile,
     rootsystem.kostant_set,
+    euler._cells,
 )
 
 
 @pytest.fixture
 def cold_boundary_caches():
-    # survivor sets, E1 pages and case profiles are cached per weight,
-    # Kostant sets per parabolic; values computed under a fault must not
-    # outlive the test, and a cached profile must not mask a table fault
+    # survivor sets and case profiles are cached per weight, Kostant sets
+    # per parabolic, and the Euler cells are fitted once; values computed
+    # under a fault must not outlive the test, and a cached profile or cell
+    # must not mask a table fault
     for cached in CACHES:
         cached.cache_clear()
     yield

@@ -2,6 +2,7 @@
 import ast
 import functools
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -362,19 +363,8 @@ def _gl2_row_mutants():
                     )
 
 
-@pytest.fixture
-def cold_cusp_forms():
-    # dim_cusp_forms caches its values: a mutant must not meet a clean
-    # entry, nor leave its own behind
-    gl2.dim_cusp_forms.cache_clear()
-    yield
-    gl2.dim_cusp_forms.cache_clear()
-
-
 @pytest.mark.parametrize("name, t, i, delta, check", _gl2_row_mutants())
-def test_every_gl2_row_entry_is_load_bearing(
-    monkeypatch, cold_cusp_forms, name, t, i, delta, check
-):
+def test_every_gl2_row_entry_is_load_bearing(monkeypatch, name, t, i, delta, check):
     def bumped(row):
         return row[:i] + (row[i] + delta,) + row[i + 1 :]
 
@@ -792,7 +782,7 @@ _FAULT_DIGESTS = {
     "eisenstein_h1_case5": "aaee5c4c402fce5c59e63d5c568471543bf3d4034462fb717332ca016b7c6a7f",
     "eisenstein_h1_case8": "74d37ef9b20eca25b91f0ed1af6ca242625bea00289a1041fb0f3ddffeb92c1e",
     "symbolic_cell": "49b00adc03b9d4f9fd45f85e56f8e835812ef7528eda1ce222974119d38263f9",
-    "torsion_class": "c0601e3f8e76037dd46c2e6a12a5a87ee6cc7a48e950c8e8161e5cdb53bbf78e",
+    "torsion_class": "3fc58726398d0b7a8c84b461c2900a48939cc9ce0ee04db9097609393bf76a2c",
     "sl3_euler_closed": "47f3ed1db47621ee3fc6f4256900efca7b4ae9ce6e99b9ad07afa65b07e907af",
     "gl2_euler": "f772f8b2d06060451e6d8aa4ab6054c6228ce7bc31243e2c9bcaa8929fe950f0",
     "sl2_euler": "9c402c6a38ce0e444aee741854cabe72778aed72d5a2b9f59e8d980a7aef61f4",
@@ -976,8 +966,9 @@ def test_a_sum_outside_the_integers_is_recorded(
 
 def test_per_weight_caches_stay_bounded_and_shared(cold_boundary_caches):
     run_all(max_weight=12)
-    info = boundary.e1_page.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize < 13 * 13
+    # the E1 page and dim S_k are read once per call: neither keeps a value
+    assert boundary.e1_page.cache_info().currsize == 0
+    assert gl2.dim_cusp_forms.cache_info().currsize == 0
     # both weights are case 4, so their survivor sets are equal
     shared = parity.survivor_sets(HighestWeight(2, 4))
     assert shared is parity.survivor_sets(HighestWeight(4, 2))
@@ -986,3 +977,20 @@ def test_per_weight_caches_stay_bounded_and_shared(cold_boundary_caches):
     assert len(mappings) == 9
     with pytest.raises(TypeError):
         shared[rootsystem.P0] = ()
+
+
+def test_each_benchmark_cache_site_keeps_its_cache_interface():
+    # the benchmark's tracer reads cache_info() of every name in its CACHED
+    # mapping; read that mapping from the source, without importing the harness
+    tracing = Path(SRC).parent / "perfbench" / "tracing.py"
+    cached = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["CACHED"]
+    )
+    assert cached
+    for name, layer in cached.items():
+        fn = getattr(importlib.import_module(f"sl3coh.{layer}"), name)
+        assert fn.cache_info().currsize >= 0, f"{layer}.{name}"
+        assert callable(fn.cache_clear), f"{layer}.{name}"

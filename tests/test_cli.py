@@ -390,15 +390,19 @@ def test_the_package_import_loads_no_dataclasses_or_inspect():
         "import sys\n"
         "import argparse, json, fractions, random, functools, collections\n"
         "before = set(sys.modules)\n"
-        "import sl3coh, sl3coh.cli, sl3coh.checks\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
+        "import sl3coh, sl3coh.cli\n"
+        "cli = sorted(set(sys.modules) - before)\n"
+        "import sl3coh.checks\n"
+        "print(json.dumps([cli, sorted(set(sys.modules) - before)]))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=ENV, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    added = json.loads(proc.stdout)
-    assert "sl3coh.cli" in added
+    cli_added, added = json.loads(proc.stdout)
+    assert "sl3coh.cli" in cli_added
+    # only the verify subcommand loads the checks
+    assert "sl3coh.checks" not in cli_added and "sl3coh.checks" in added
     assert "dataclasses" not in added and "inspect" not in added
 
 

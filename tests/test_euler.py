@@ -1,4 +1,10 @@
 """Euler characteristics of SL3(Z) and GL3(Z), both routes and the table."""
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -128,14 +134,14 @@ def test_euler_values_reject_negative_bounds():
 
 
 def _shift_offset(monkeypatch, i, j):
-    cells = [list(row) for row in euler._CELLS]
+    cells = [list(row) for row in euler._cells()]
     cells[i][j] = cells[i][j]._replace(offset=cells[i][j].offset + 1)
-    monkeypatch.setattr(euler, "_CELLS", cells)
+    monkeypatch.setattr(euler, "_cells", lambda: cells)
 
 
 def test_a_wrong_cell_offset_raises_in_the_sweep(monkeypatch):
     _shift_offset(monkeypatch, 4, 6)
-    # the sweep reads the import-time table, so a fault in one of its cells
+    # the sweep reads the fitted table, so a fault in one of its cells
     # shows, also in a sweep whose rows past m1 = 11 are derived, not evaluated
     for m1_max, m2_max in [(4, 6), (150, 150)]:
         with pytest.raises(CrossCheckError):
@@ -163,6 +169,62 @@ def test_a_fitted_step_that_names_no_kind_raises(monkeypatch):
     )
     with pytest.raises(CrossCheckError, match=r"steps \(2, 0\) at \(1, 2\)"):
         euler._fit_cell(1, 2)
+
+
+def _outside_the_integers(monkeypatch):
+    # the phi1*phi4 class counted 3 times instead of 2: the sum at (0, 0) is 5/4
+    classes = tuple(
+        c._replace(resultant=3) if c.label == "phi1*phi4" else c
+        for c in euler.SL3_TORSION_CLASSES
+    )
+    monkeypatch.setattr(euler, "SL3_TORSION_CLASSES", classes)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: symbolic_cell(3, 5),
+        symbolic_table,
+        lambda: euler_values(2, 2),
+        lambda: euler_report(HighestWeight(1, 1)),
+    ],
+    ids=["symbolic_cell", "symbolic_table", "euler_values", "euler_report"],
+)
+def test_a_cell_table_that_does_not_fit_raises_at_each_read(
+    monkeypatch, cold_boundary_caches, call
+):
+    _outside_the_integers(monkeypatch)
+    # not cached: the next read fits again and raises again
+    for _ in range(2):
+        with pytest.raises(CrossCheckError, match=r"is 5/4, not an integer"):
+            call()
+
+
+def test_a_cell_table_that_does_not_fit_leaves_the_import_working(tmp_path):
+    # a copy of the package with the fault in its source, as a launch sees it
+    src = Path(__file__).resolve().parent.parent / "src" / "sl3coh"
+    pkg = tmp_path / "sl3coh"
+    shutil.copytree(src, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    traces_py = pkg / "traces.py"
+    text = traces_py.read_text(encoding="utf-8")
+    good = 'TorsionClass("phi1*phi4", Fraction(1, 4), 2, 4)'
+    assert text.count(good) == 1
+    traces_py.write_text(text.replace(good, good.replace("2, 4)", "3, 4)")), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+
+    def launch(*argv):
+        return subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    imported = launch("-c", "import sl3coh")
+    assert (imported.returncode, imported.stderr) == (0, "")
+    version = launch("-m", "sl3coh.cli", "--version")
+    assert (version.returncode, version.stderr) == (0, "")
+    verify = launch("-m", "sl3coh.cli", "verify", "--max", "6")
+    assert (verify.returncode, verify.stderr) == (1, "")
+    assert "  euler_routes: 1 FAILED" in verify.stdout
+    assert '"check": "euler_routes_raised"' in verify.stdout
 
 
 def test_every_cell_matches_the_torsion_sum_far_out():

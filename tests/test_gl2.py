@@ -74,7 +74,7 @@ def test_euler_validation():
 
 
 def _cached_then_float():
-    # the equal int key is already cached; the float must still raise
+    # after a call with the equal int, the float must still raise
     dim_cusp_forms(12)
     dim_cusp_forms(12.0)
 
