@@ -9,14 +9,15 @@ degrees 0..4.
 
 The result is also available as a closed case formula (case_profile); the
 spectral sequence assembly checks agreement by default and raises
-CrossCheckError on a mismatch.  Both give a GradedProfile, and the E1 terms
-hold the same summand shape: a pair (k, mult) is mult trivial lines when k
-is None and mult copies of the level-one cusp forms S_k otherwise.
+CrossCheckError on a mismatch.  Both give a GradedProfile, five rows of
+summands, one per degree 0..4, and the E1 terms hold the same summand
+shape: a pair (k, mult) is mult trivial lines when k is None and mult
+copies of the level-one cusp forms S_k otherwise.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Collection, Iterable, Mapping
 from functools import cache, lru_cache
 
 from .errors import CrossCheckError
@@ -28,59 +29,52 @@ from .rootsystem import P0, P1, P2, HighestWeight, restrict_to_levi
 _ONE_LINE = ((None, 1),)
 
 
-class GradedProfile(namedtuple("GradedProfile", ("by_degree",))):
-    """A graded sum of summands, degrees with no summands omitted.
+class GradedProfile(tuple):
+    """A graded sum of summands: five rows, profile[q] for degree q = 0..4.
 
-    by_degree pairs each degree q, ascending, with its summands (k, mult):
-    mult trivial lines when k is None, else mult copies of the weight-k
-    level-one cusp forms S_k, trivial lines first, then by ascending k.
+    A row is the tuple of summands (k, mult) in its degree, () when there
+    are none: mult trivial lines when k is None, else mult copies of the
+    weight-k level-one cusp forms S_k, ordered as _row orders them.
     """
 
     __slots__ = ()
 
+    def __new__(cls, rows: Iterable[tuple]) -> "GradedProfile":
+        self = tuple.__new__(cls, rows)
+        if len(self) != 5:
+            raise ValueError(f"a profile has five rows, degrees 0..4, got {len(self)}")
+        return self
+
+    def __repr__(self) -> str:
+        return f"GradedProfile({tuple(self)})"
+
     @classmethod
     def build(cls, data: Mapping[int, Mapping[int | None, int]]) -> "GradedProfile":
         """The profile of degree -> {k: mult}, without zero multiplicities."""
-        items = []
-        for q in sorted(data):
-            mults = data[q]
+        rows = [(), (), (), (), ()]
+        for q, mults in data.items():
+            if q not in range(5):
+                raise ValueError(f"degree {q!r} is outside 0..4")
             lines = mults.get(None)
-            # the trivial line (k None) before every weight k >= 2
-            row = [(None, lines)] if lines else []
+            cusp = ()
             if len(mults) > (lines is not None):  # some cusp summand
-                row += sorted([(k, m) for k, m in mults.items() if m and k is not None])
-            if row:
-                items.append((q, tuple(row)))
-        return cls(by_degree=tuple(items))
-
-    def summands(self, q: int) -> tuple[tuple[int | None, int], ...]:
-        for deg, s in self.by_degree:
-            if deg == q:
-                return s
-        return ()
+                cusp = [(k, m) for k, m in mults.items() if m and k is not None]
+            rows[q] = _row(lines, cusp)
+        return cls(rows)
 
     def dimensions(self) -> list[int]:
         """The dimension in each degree 0..4, in one pass."""
-        dims = [0, 0, 0, 0, 0]
-        for q, s in self.by_degree:
-            dims[q] = _dimension(s)
-        return dims
-
-    def total_dimension(self) -> int:
-        total = 0
-        for _, s in self.by_degree:
-            total += _dimension(s)
-        return total
+        return [_dimension(s) if s else 0 for s in self]
 
     def euler_characteristic(self) -> int:
-        chi = 0
-        for q, s in self.by_degree:
-            chi += -_dimension(s) if q % 2 else _dimension(s)
-        return chi
+        d0, d1, d2, d3, d4 = self.dimensions()
+        return d0 - d1 + d2 - d3 + d4
 
-    def multiset(self, q: int) -> dict:
-        """Summand multiplicities at degree q, k -> mult."""
-        return dict(self.summands(q))
+
+def _row(lines: int | None, cusp: Collection[tuple[int, int]]) -> tuple:
+    """A degree's summands: its trivial lines first, then cusp's (k, mult) by ascending k."""
+    row = ((None, lines),) if lines else ()
+    return row + tuple(sorted(cusp)) if cusp else row
 
 
 def _dimension(summands: tuple[tuple[int | None, int], ...]) -> int:
@@ -181,9 +175,9 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
     formula, or CrossCheckError is raised.
     """
     col0, col1 = e1_page(lam)
-    by_degree = []
+    rows = []
     missed = 0
-    for q in range(4):
+    for q in range(5):
         rank = d1_rank(lam, col0, col1, q)
         # quotient by the image: rank fewer of the mapping lines
         lines, cusp = -rank, {}
@@ -195,18 +189,11 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
                     cusp[k] = cusp.get(k, 0) + m
         if lines < 0:
             raise CrossCheckError(f"rank 1 with no line to map at {lam}, q={q}")
-        # plus the column-1 lines d1 missed one degree down, first in the row
-        lines += missed
-        row = ((None, lines),) if lines else ()
-        if cusp:
-            row += tuple(sorted(cusp.items()))
-        if row:
-            by_degree.append((q, row))
+        # plus the column-1 lines d1 missed one degree down
+        rows.append(_row(lines + missed, cusp.items()))
         # the column-1 lines d1 misses, in total degree q + 1
         missed = len(col1.get(q, ())) - rank
-    if missed:
-        by_degree.append((4, ((None, missed),)))
-    profile = GradedProfile(tuple(by_degree))
+    profile = GradedProfile(rows)
     if cross_check:
         expected = case_profile(lam)
         if profile != expected:

@@ -2,10 +2,11 @@
 
 The Eisenstein part of H^*(SL3(Z), M_lam) is the image of the restriction
 to the boundary; it is given by a closed nine-case formula, supported in
-degrees 0..3.  Three exact identities tie it to the other routes: its Euler
-characteristic equals the homological Euler characteristic, twice it equals
-the boundary Euler characteristic, and the total Eisenstein dimensions of a
-dual pair of weights are half the total boundary dimensions of the pair.
+degrees 0..3, so row 4 of its profile is empty.  Three exact identities tie
+it to the other routes: its Euler characteristic equals the homological
+Euler characteristic, twice it equals the boundary Euler characteristic,
+and the total Eisenstein dimensions of a dual pair of weights are half the
+total boundary dimensions of the pair.
 
 Ghost classes (boundary classes in the image of restriction but not of
 compactly supported classes) vanish except possibly in degree 2 for the
@@ -53,8 +54,8 @@ def _identities(lam: HighestWeight, eis: GradedProfile, dual: HighestWeight) -> 
     return {
         "chi_eis_equals_chi_h": chi_eis == sl3_euler_closed(lam),
         "half_boundary": 2 * chi_eis == b0 - b1 + b2 - b3 + b4,
-        "poincare_pair": 2 * (sum(eis_dims) + eisenstein_case_profile(dual).total_dimension())
-        == sum(bd_dims) + case_profile(dual).total_dimension(),
+        "poincare_pair": 2 * (sum(eis_dims) + sum(eisenstein_case_profile(dual).dimensions()))
+        == sum(bd_dims) + sum(case_profile(dual).dimensions()),
     }
 
 
@@ -72,18 +73,15 @@ def ghost_report(lam: HighestWeight) -> dict[int, str]:
     }
 
 
-def _profile_json(profile: GradedProfile, degrees: range) -> dict:
+def _profile_json(rows: tuple) -> dict:
     return {
-        str(q): [
-            {"kind": TRIVIAL if k is None else CUSP, "k": k, "mult": m}
-            for k, m in profile.summands(q)
-        ]
-        for q in degrees
+        str(q): [{"kind": TRIVIAL if k is None else CUSP, "k": k, "mult": m} for k, m in row]
+        for q, row in enumerate(rows)
     }
 
 
 # both profiles of a weight whose cohomology vanishes
-_NOTHING = GradedProfile(by_degree=())
+_NOTHING = GradedProfile(((),) * 5)
 
 
 def cohomology_report(lam: HighestWeight) -> dict:
@@ -121,9 +119,9 @@ def cohomology_report(lam: HighestWeight) -> dict:
         "weight": weight,
         "case_id": case,
         "vanishes": vanishes,
-        "boundary": _profile_json(boundary, range(5)),
+        "boundary": _profile_json(boundary),
         "eisenstein": {
-            "profile": _profile_json(eisenstein, range(4)),
+            "profile": _profile_json(eisenstein[:4]),
             "chi_eis": eisenstein.euler_characteristic(),
             "identities": identities,
         },

@@ -83,15 +83,16 @@ def test_case_profiles(case):
     lam = HighestWeight(m1, m2)
     profile = boundary_profile(lam, cross_check=False)
     assert profile == case_profile(lam)
+    assert len(profile) == len(case_profile(lam)) == 5
     assert case_classifier(lam) == case
-    assert profile.by_degree == tuple(sorted(expected.items()))
+    assert profile == tuple(expected.get(q, ()) for q in range(5))
 
 
 @given(small, small)
 def test_profile_support(m1, m2):
     profile = case_profile(HighestWeight(m1, m2))
-    assert all(0 <= q <= 4 and summands for q, summands in profile.by_degree)
-    assert profile.summands(7) == ()
+    assert len(profile) == 5 and profile[5:] == ()
+    assert all(type(row) is tuple and all(m > 0 for _, m in row) for row in profile)
 
 
 def test_graded_profile_helpers():
@@ -99,18 +100,33 @@ def test_graded_profile_helpers():
     profile = GradedProfile.build(
         {3: {}, 1: {30: 1, 4: 2, None: 1, 6: 0}, 0: {None: 0}}
     )
-    assert profile.by_degree == ((1, ((None, 1), (4, 2), (30, 1))),)
-    assert profile.summands(1) == ((None, 1), (4, 2), (30, 1))
-    assert profile.summands(0) == ()
-    assert profile.multiset(1) == {None: 1, 4: 2, 30: 1}
-    assert profile.multiset(0) == {}
+    assert profile == ((), ((None, 1), (4, 2), (30, 1)), (), (), ())
+    assert profile[1] == ((None, 1), (4, 2), (30, 1))
+    assert profile[0] == ()
+    assert dict(profile[1]) == {None: 1, 4: 2, 30: 1}
+    assert dict(profile[0]) == {}
     # dim S_4 = 0 and dim S_30 = 2
-    assert profile.total_dimension() == 3
+    assert sum(profile.dimensions()) == 3
     assert profile.euler_characteristic() == -3
-    assert (profile.dimensions(), GradedProfile(by_degree=()).dimensions()) == (
+    assert (profile.dimensions(), GradedProfile(((),) * 5).dimensions()) == (
         [0, 3, 0, 0, 0],
         [0, 0, 0, 0, 0],
     )
+
+
+@pytest.mark.parametrize("q", [-1, 5])
+def test_build_rejects_a_degree_outside_0_to_4(q):
+    # a row index of -1 would otherwise land silently in degree 4
+    error = f"degree {q} is outside 0..4"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        GradedProfile.build({q: {None: 1}})
+
+
+@pytest.mark.parametrize("rows", [(), ((),) * 4, ((),) * 6])
+def test_a_profile_is_five_rows(rows):
+    error = f"a profile has five rows, degrees 0..4, got {len(rows)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        GradedProfile(rows)
 
 
 # one instance of each value type; the per-weight caches keep many of them
