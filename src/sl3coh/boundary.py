@@ -10,14 +10,14 @@ degrees 0..4.
 The result is also available as a closed case formula (case_profile); the
 spectral sequence assembly checks agreement by default and raises
 CrossCheckError on a mismatch.  Both give a GradedProfile, five rows of
-summands, one per degree 0..4, and the E1 terms hold the same summand
-shape: a pair (k, mult) is mult trivial lines when k is None and mult
-copies of the level-one cusp forms S_k otherwise.
+summands, one per degree 0..4; each E1 column has the same five rows, of
+E1 terms.  A summand is a pair (k, mult): mult trivial lines when k is
+None and mult copies of the level-one cusp forms S_k otherwise.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection, Iterable
 from functools import cache, lru_cache
 
 from .errors import CrossCheckError
@@ -48,20 +48,6 @@ class GradedProfile(tuple):
     def __repr__(self) -> str:
         return f"GradedProfile({tuple(self)})"
 
-    @classmethod
-    def build(cls, data: Mapping[int, Mapping[int | None, int]]) -> "GradedProfile":
-        """The profile of degree -> {k: mult}, without zero multiplicities."""
-        rows = [(), (), (), (), ()]
-        for q, mults in data.items():
-            if q not in range(5):
-                raise ValueError(f"degree {q!r} is outside 0..4")
-            lines = mults.get(None)
-            cusp = ()
-            if len(mults) > (lines is not None):  # some cusp summand
-                cusp = [(k, m) for k, m in mults.items() if m and k is not None]
-            rows[q] = _row(lines, cusp)
-        return cls(rows)
-
     def dimensions(self) -> list[int]:
         """The dimension in each degree 0..4, in one pass."""
         return [_dimension(s) if s else 0 for s in self]
@@ -71,7 +57,7 @@ class GradedProfile(tuple):
         return d0 - d1 + d2 - d3 + d4
 
 
-def _row(lines: int | None, cusp: Collection[tuple[int, int]]) -> tuple:
+def _row(lines: int, cusp: Collection[tuple[int, int]]) -> tuple:
     """A degree's summands: its trivial lines first, then cusp's (k, mult) by ascending k."""
     row = ((None, lines),) if lines else ()
     return row + tuple(sorted(cusp)) if cusp else row
@@ -94,13 +80,14 @@ def _case_row(table: dict, lam: HighestWeight) -> GradedProfile:
     """
     m1, m2, _ = lam
     forms = {"m1": m1, "m2": m2, "m1+m2": m1 + m2}
-    data = {}
+    rows = [(), (), (), (), ()]
     for q, summands in table[case_classifier(lam)].items():
-        row = data[q] = {}
+        mults = {}
         for form, shift in _parsed(summands):
             k = None if form is None else forms[form] + shift
-            row[k] = row.get(k, 0) + 1
-    return GradedProfile.build(data)
+            mults[k] = mults.get(k, 0) + 1
+        rows[q] = _row(mults.pop(None, 0), mults.items())
+    return GradedProfile(rows)
 
 
 # keyed by the summand strings themselves: an edited row is parsed afresh
@@ -119,53 +106,55 @@ E1Term.__doc__ = """One face contribution on the E1 page.
 
 parabolic and w name the face and its Kostant representative;
 face_degree is the cohomological degree along the face (0 for invariant
-lines, 1 for the modular-curve H^1 blocks), so the term lives in total
-degree length(w) + face_degree; summands are (k, mult) pairs.
+lines, 1 for the modular-curve H^1 blocks), so the term sits in row
+length(w) + face_degree of its column; summands are (k, mult) pairs.
 """
 
 
 # A page is read once, by the boundary_profile call that asked for it:
 # maxsize 0 stores none and keeps the cache_info() the benchmark reads.
 @lru_cache(maxsize=0)
-def e1_page(lam: HighestWeight) -> tuple[dict, dict]:
-    """The E1 page's columns (col0, col1), each total degree -> its E1Terms."""
+def e1_page(lam: HighestWeight) -> tuple[tuple, tuple]:
+    """The E1 page's columns (col0, col1), five rows: col[q] the E1Terms in degree q."""
     sets = survivor_sets(lam)
-    col0: dict[int, list[E1Term]] = {}
-    col1: dict[int, list[E1Term]] = {}
+    col0: list[list[E1Term]] = [[], [], [], [], []]
+    col1: list[list[E1Term]] = [[], [], [], [], []]
     for w in sets[P0]:
-        col1.setdefault(w.length, []).append(E1Term(P0.tag, w.name, 0, _ONE_LINE))
+        col1[w.length].append(E1Term(P0.tag, w.name, 0, _ONE_LINE))
     for p in (P1, P2):
         tag = p.tag
         for w in sets[p]:
             r = restrict_to_levi(w, lam, p)
             a = r.a
             if a == 0:
-                col0.setdefault(w.length, []).append(E1Term(tag, w.name, 0, _ONE_LINE))
+                col0[w.length].append(E1Term(tag, w.name, 0, _ONE_LINE))
                 continue
             summands = ((a + 2, 1), (None, 1)) if h1_split(r) else ((a + 2, 1),)
-            col0.setdefault(w.length + 1, []).append(E1Term(tag, w.name, 1, summands))
-    if not {*col0, *col1} <= {0, 1, 2, 3}:
+            col0[w.length + 1].append(E1Term(tag, w.name, 1, summands))
+    if col0[4] or col1[4]:
         raise CrossCheckError(
             f"E1 page of {lam} outside degrees 0..3: columns {col0}, {col1}"
         )
-    return tuple({q: tuple(ts) for q, ts in sorted(col.items())} for col in (col0, col1))
+    return tuple(map(tuple, col0)), tuple(map(tuple, col1))
 
 
-def d1_rank(lam: HighestWeight, col0: Mapping, col1: Mapping, q: int) -> int:
+def d1_rank(lam: HighestWeight, col0: tuple, col1: tuple, q: int) -> int:
     """Rank of d1 out of column 0 in total degree q of the E1 page of lam.
 
-    col0 and col1 are the two columns that e1_page(lam) returns.  The
-    target is the (at most one) surviving minimal-face line in degree q; the
-    map is onto it as soon as column 0 contributes any invariant line or
-    Eisenstein line in the same degree.  Cusp summands never hit it.
+    col0 and col1 are the two columns that e1_page(lam) returns, and a
+    degree q outside 0..4 raises ValueError.  The target is the (at most
+    one) surviving minimal-face line in degree q; the map is onto it as soon
+    as column 0 contributes any invariant line or Eisenstein line in the
+    same degree.  Cusp summands never hit it.
     """
-    targets = len(col1.get(q, ()))
+    if not 0 <= q <= 4:
+        raise ValueError(f"degree {q!r} is outside 0..4")
+    targets = len(col1[q])
     if targets > 1:
         raise CrossCheckError(f"d1 of {lam} in degree {q} has {targets} targets")
     if not targets:
         return 0
-    terms = col0.get(q, ())
-    return 1 if any(k is None for t in terms for k, _ in t.summands) else 0
+    return 1 if any(k is None for t in col0[q] for k, _ in t.summands) else 0
 
 
 def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProfile:
@@ -181,7 +170,7 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
         rank = d1_rank(lam, col0, col1, q)
         # quotient by the image: rank fewer of the mapping lines
         lines, cusp = -rank, {}
-        for t in col0.get(q, ()):
+        for t in col0[q]:
             for k, m in t.summands:
                 if k is None:
                     lines += m
@@ -192,7 +181,7 @@ def boundary_profile(lam: HighestWeight, cross_check: bool = True) -> GradedProf
         # plus the column-1 lines d1 missed one degree down
         rows.append(_row(lines + missed, cusp.items()))
         # the column-1 lines d1 misses, in total degree q + 1
-        missed = len(col1.get(q, ())) - rank
+        missed = len(col1[q]) - rank
     profile = GradedProfile(rows)
     if cross_check:
         expected = case_profile(lam)

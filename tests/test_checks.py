@@ -800,7 +800,7 @@ _FAULT_DIGESTS = {
     "ghost_rule": "8028af84c0155b5b4c8e67337d0232ff85cdc54497eadc059c14ee3bfa24278c",
     "kostant_set": "03e768762333d285195fe3e2f660c00d5aa9e9d1de1df4ed85d735c6f18ef6f8",
     "kostant_set_p0": "1aeb92cee9b30a4f3ba37c5ca0d62845033545c62805d60d72189174c500f3ce",
-    "e1_degree": "1b4d2d26a25db344ef2da0cbe63f29fbc503e1e64090144e4adfb27455c9c8af",
+    "e1_degree": "8c3df9313a36f398c63cbe70bbd751694bf41e78c0c407ecd37de5c368946250",
 }
 
 

@@ -130,9 +130,11 @@ def _degrees(top, summands):
 
 _CASE4 = [_line(), _cusp(1000000000004), _cusp(3000000000002)]
 _CASE4_GL3 = [_line(), _cusp(1000000000006), _cusp(6000000000002)]
+_CASE4_SELF_DUAL = [_line(), _cusp(1000000000002, 2)]
 
 
-# m1 > m2, so the order by k differs from the case tables' order (m1 first)
+# m1 > m2, so the order by k differs from the case tables' order (m1 first);
+# at m1 = m2 the summands m1+2 and m2+2 are one S_k, merged into mult 2
 @pytest.mark.parametrize(
     "argv, boundary, eisenstein",
     [
@@ -167,6 +169,12 @@ _CASE4_GL3 = [_line(), _cusp(1000000000006), _cusp(6000000000002)]
             {1: _CASE4_GL3, 3: _CASE4_GL3},
             {3: _CASE4_GL3},
             id="gl3_case4",
+        ),
+        pytest.param(
+            ("sl3", "1000000000000", "1000000000000"),
+            {1: _CASE4_SELF_DUAL, 3: _CASE4_SELF_DUAL},
+            {3: _CASE4_SELF_DUAL},
+            id="case4_self_dual",
         ),
     ],
 )
