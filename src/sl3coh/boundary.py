@@ -141,12 +141,14 @@ def e1_page(lam: HighestWeight) -> tuple[tuple, tuple]:
 def d1_rank(lam: HighestWeight, col0: tuple, col1: tuple, q: int) -> int:
     """Rank of d1 out of column 0 in total degree q of the E1 page of lam.
 
-    col0 and col1 are the two columns that e1_page(lam) returns, and a
-    degree q outside 0..4 raises ValueError.  The target is the (at most
-    one) surviving minimal-face line in degree q; the map is onto it as soon
-    as column 0 contributes any invariant line or Eisenstein line in the
-    same degree.  Cusp summands never hit it.
+    col0 and col1 are the two columns that e1_page(lam) returns; a degree
+    q that is not an int raises TypeError, one outside 0..4 ValueError.
+    The target is the (at most one) surviving minimal-face line in degree
+    q; the map is onto it as soon as column 0 contributes any invariant
+    line or Eisenstein line in the same degree.  Cusp summands never hit it.
     """
+    if type(q) is not int:
+        raise TypeError(f"degree must be an int, got {q!r}")
     if not 0 <= q <= 4:
         raise ValueError(f"degree {q!r} is outside 0..4")
     targets = len(col1[q])

@@ -99,6 +99,15 @@ def test_d1_rank_rejects_a_degree_outside_0_to_4(q):
         d1_rank(lam, *e1_page(lam), q)
 
 
+@pytest.mark.parametrize("q", [True, 1.0, "1"])
+def test_d1_rank_rejects_a_degree_that_is_not_an_int(q):
+    # True would otherwise read degree 1 silently
+    lam = HighestWeight(0, 0)
+    error = f"degree must be an int, got {q!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(error)}$"):
+        d1_rank(lam, *e1_page(lam), q)
+
+
 @pytest.mark.parametrize("case", sorted(PROFILES))
 def test_case_profiles(case):
     (m1, m2), expected = PROFILES[case]

@@ -47,176 +47,6 @@ def test_run_all_rejects_negative_bound():
         run_all(max_weight=-1)
 
 
-def _corrupted_m6():
-    # shift one entry of the order-6 periodicity table by 6: the shift keeps
-    # the rational torsion sums integral, so the fault surfaces as failure
-    # records instead of tripping an internal integrality assert
-    return tuple(
-        tuple(7 if (i, j) == (0, 0) else v for j, v in enumerate(row))
-        for i, row in enumerate(traces.M6)
-    )
-
-
-def test_injected_table_fault_is_caught(monkeypatch):
-    monkeypatch.setattr(traces, "M6", _corrupted_m6())
-    assert traces.closed_trace(0, 0, 0, 6) == 7
-    report = run_all(max_weight=6)
-    assert not report["ok"]
-    names = {f["check"] for f in report["failures"]}
-    assert "gt_trace_vs_closed_trace" in names
-    for record in report["failures"]:
-        assert set(record) == {"check", "params", "detail"}
-    hits = [
-        f
-        for f in report["failures"]
-        if f["check"] == "gt_trace_vs_closed_trace" and f["params"]["k"] == 6
-    ]
-    assert any(
-        f["params"]["m1"] % 6 == 0 and f["params"]["m2"] % 6 == 0 for f in hits
-    )
-
-
-def test_injected_fault_leaves_other_orders_alone(monkeypatch):
-    monkeypatch.setattr(traces, "M6", _corrupted_m6())
-    failures = dict(CHECKS)["trace_routes"](6, 0)
-    assert failures
-    assert all(f["params"]["k"] == 6 for f in failures)
-    assert all(f["check"] == "gt_trace_vs_closed_trace" for f in failures)
-
-
-def _h_bump(k, e):
-    # one more monomial at exponent e, in the coordinates of _h_coordinates:
-    # 2 cos(2 pi e / k) on the cosine sum, and +1 on count_e - count_-e (or
-    # -1 on the difference at -e) unless e = -e mod k
-    bump = [traces._TWO_COS[k][e]] + [0] * ((k - 1) // 2)
-    if 2 * e != k and e:
-        bump[min(e, k - e)] += 1 if 2 * e < k else -1
-    return bump
-
-
-def _bump_h_counts(monkeypatch, hit, residue):
-    # one more monomial at exponent residue mod k wherever hit holds
-    clean = traces._h_coordinates
-
-    def corrupted(m, k):
-        coordinates = clean(m, k)
-        if hit(m, k):
-            coordinates = list(map(add, coordinates, _h_bump(k, residue)))
-        return coordinates
-
-    monkeypatch.setattr(traces, "_h_coordinates", corrupted)
-
-
-def test_injected_h_row_fault_is_caught(monkeypatch, cold_h_row):
-    _bump_h_counts(monkeypatch, lambda m, k: k == 6 and m % 6 == 1, 0)
-    report = run_all(max_weight=6)
-    assert not report["ok"]
-    names = {f["check"] for f in report["failures"]}
-    assert names == {"gt_trace_vs_weyl_det_trace"}
-    assert all(f["params"]["k"] == 6 for f in report["failures"])
-
-
-def _bump_gt_counts(monkeypatch, hit, residue=0):
-    # one more basis vector at exponent residue mod k wherever hit holds:
-    # the coordinates move by zeta_k^residue
-    clean = traces._gt_coordinates
-
-    def corrupted(m1, m2, m3, k):
-        coordinates = clean(m1, m2, m3, k)
-        if hit(m1, m2, m3, k):
-            coordinates = list(map(add, coordinates, traces._ZETA_POWERS[k][residue]))
-        return coordinates
-
-    monkeypatch.setattr(traces, "_gt_coordinates", corrupted)
-
-
-def test_injected_gt_trace_fault_is_caught(monkeypatch):
-    _bump_gt_counts(
-        monkeypatch, lambda m1, m2, m3, k: k == 6 and (m1 % 6, m2 % 6) == (1, 1)
-    )
-    report = run_all(max_weight=6)
-    assert not report["ok"]
-    names = {f["check"] for f in report["failures"]}
-    assert "gt_trace_vs_closed_trace" in names
-    hits = [f for f in report["failures"] if f["check"] == "gt_trace_vs_closed_trace"]
-    assert {(f["params"]["m1"], f["params"]["m2"], f["params"]["k"]) for f in hits} == {
-        (1, 1, 6)
-    }
-
-
-def test_injected_weyl_action_fault_is_caught(monkeypatch, cold_boundary_caches):
-    clean = WeylElement.dot
-
-    def corrupted(self, lam):
-        c1, c2, c3 = clean(self, lam)
-        # moves the P1 Levi weight of s1 . lam by (2, 2): parities stay,
-        # the cusp weight of the face term does not
-        return (c1, c2 + 2, c3) if self.name == "s1" else (c1, c2, c3)
-
-    monkeypatch.setattr(WeylElement, "dot", corrupted)
-    report = run_all(max_weight=6)
-    assert not report["ok"]
-    names = {f["check"] for f in report["failures"]}
-    assert names & {"survivor_parity", "boundary_profile_vs_case_formula"}
-    assert "levi_weight" in names
-    assert names <= {
-        "survivor_parity",
-        "survivor_reflection",
-        "levi_weight",
-        "boundary_profile_vs_case_formula",
-        "boundary_euler_closed",
-    }
-
-
-def _shift_dot(monkeypatch, name, shift):
-    clean = WeylElement.dot
-
-    def corrupted(self, lam):
-        c = clean(self, lam)
-        return tuple(a + b for a, b in zip(c, shift)) if self.name == name else c
-
-    monkeypatch.setattr(WeylElement, "dot", corrupted)
-
-
-@pytest.mark.parametrize(
-    "name, shift, error",
-    [
-        # d1 of (1, 0) in degree 1 gets two targets: CrossCheckError
-        ("s1", (1, 0, 0), "CrossCheckError"),
-        # a Levi weight with a < 0: ValueError from GL2Weight
-        ("e", (0, 2, 0), "ValueError"),
-    ],
-)
-def test_a_route_that_raises_is_recorded(monkeypatch, cold_boundary_caches, name, shift, error):
-    _shift_dot(monkeypatch, name, shift)
-    report = run_all(max_weight=6)
-    assert not report["ok"]
-    # every family ran, including those after the one that raised
-    assert list(report["families"]) == [family for family, _ in CHECKS]
-    raised = [f for f in report["failures"] if f["check"].endswith("_raised")]
-    assert raised
-    for record in raised:
-        family = record["check"][: -len("_raised")]
-        assert record["params"] == {"family": family}
-        assert record["detail"].startswith(f"{error}: ")
-    assert "boundary_assembly_raised" in {f["check"] for f in raised}
-    # each raising family counts one failure
-    for family, info in report["families"].items():
-        own = [f for f in report["failures"] if f["check"] == f"{family}_raised"]
-        if own:
-            assert info["failures"] == 1
-
-
-def test_a_rank_with_no_line_to_map_is_recorded(monkeypatch):
-    # d1 onto every minimal-face line, also where column 0 has no trivial line
-    monkeypatch.setattr(boundary, "d1_rank", lambda lam, col0, col1, q: 1)
-    report = run_all(max_weight=6)
-    checks = [f["check"] for f in report["failures"]]
-    assert checks == ["boundary_assembly_raised", "random_spots_raised"]
-    for record in report["failures"]:
-        assert record["detail"].startswith("CrossCheckError: rank 1 with no line to map")
-
-
 def test_cross_check_error_is_an_assertion_error():
     assert issubclass(CrossCheckError, AssertionError)
 
@@ -254,25 +84,6 @@ def test_cross_checks_raise_under_python_O():
         "boundary_profile raised",
         "euler_report raised",
     ]
-
-
-@pytest.mark.parametrize(
-    "name, shift",
-    [
-        # each moves n of one Levi weight by 4 and keeps every parity
-        ("s1", (2, 0, 0)),
-        ("s2", (0, 0, 2)),
-        ("s2s1", (0, 0, 2)),
-        ("s1s2", (2, 0, 0)),
-    ],
-)
-def test_levi_coordinate_n_is_pinned(monkeypatch, cold_boundary_caches, name, shift):
-    _shift_dot(monkeypatch, name, shift)
-    report = run_all(max_weight=6)
-    assert not report["ok"]
-    levi = [f for f in _by_family(report)["survivors"] if f["check"] == "levi_weight"]
-    assert levi
-    assert {f["params"]["w"] for f in levi} == {name}
 
 
 def _replace_route(monkeypatch, clean, corrupted):
@@ -327,7 +138,7 @@ def _table_mutants():
 
 @pytest.mark.parametrize("row, q, i, how", _table_mutants())
 def test_every_case_table_entry_is_load_bearing(
-    monkeypatch, cold_boundary_caches, row, q, i, how
+    monkeypatch, cold_caches, row, q, i, how
 ):
     if how == "move":
         _move_to_degree_1(monkeypatch, row, q, i)
@@ -435,7 +246,7 @@ def _bumped(value, path, delta):
     ids=[f"{name.strip('_')}-k{k}" for name, k, _, _ in _TRACE_TABLES],
 )
 def test_every_trace_table_entry_is_load_bearing(
-    monkeypatch, cold_h_row, name, k, bound, fired
+    monkeypatch, cold_caches, name, k, bound, fired
 ):
     table = getattr(traces, name)
     if isinstance(table, dict):
@@ -517,6 +328,14 @@ def _cusp_dimension_fault(monkeypatch):
     monkeypatch.setattr(checks, "dim_cusp_forms", lambda k: clean(k) + (k == 6))
 
 
+def _m6_fault(monkeypatch):
+    # shift one entry of the order-6 periodicity table by 6: the shift keeps
+    # the rational torsion sums integral, so the fault surfaces as failure
+    # records instead of tripping an internal integrality assert
+    (first, *rest), *rows = traces.M6
+    monkeypatch.setattr(traces, "M6", ((first + 6, *rest), *rows))
+
+
 def _zeta_table_fault(monkeypatch):
     # zeta_6^3 read as +1 instead of -1: the zeta_6 column is untouched, so
     # every order-6 trace stays an integer, only a wrong one
@@ -526,13 +345,32 @@ def _zeta_table_fault(monkeypatch):
     monkeypatch.setattr(traces, "_GT_PREFIX", traces._gt_prefix())
 
 
-def _gt_m3_fault(monkeypatch):
-    _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: (m3, k) == (1, 3))
+def _gt_count_fault(hit, residue=0):
+    # one more basis vector at exponent residue mod k wherever hit holds:
+    # the coordinates move by zeta_k^residue
+    def fault(monkeypatch):
+        clean = traces._gt_coordinates
+
+        def corrupted(m1, m2, m3, k):
+            coordinates = clean(m1, m2, m3, k)
+            if hit(m1, m2, m3, k):
+                coordinates = list(map(add, coordinates, traces._ZETA_POWERS[k][residue]))
+            return coordinates
+
+        monkeypatch.setattr(traces, "_gt_coordinates", corrupted)
+
+    return fault
 
 
-def _gt_beyond_bound_fault(monkeypatch):
-    # wrong only past the sweep bound of run_all(6): the spots must see it
-    _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: k == 3 and m1 > 6)
+# one more basis vector at exponent 0 for k = 6 where m1 = m2 = 1 mod 6
+_gt_counts_fault = _gt_count_fault(
+    lambda m1, m2, m3, k: k == 6 and (m1 % 6, m2 % 6) == (1, 1)
+)
+_gt_m3_fault = _gt_count_fault(lambda m1, m2, m3, k: (m3, k) == (1, 3))
+# wrong only past the sweep bound of run_all(6): the spots must see it
+_gt_beyond_bound_fault = _gt_count_fault(lambda m1, m2, m3, k: k == 3 and m1 > 6)
+# a zeta_3 coefficient left over at one weight: the sum is not an integer
+_gt_zeta_fault = _gt_count_fault(lambda m1, m2, m3, k: (m1, m2, k) == (2, 2, 3), 1)
 
 
 def _gt_table_fault(monkeypatch):
@@ -547,6 +385,52 @@ def _h_table_fault(monkeypatch):
     # 2 cos 0 = 2 more on the cosine sum
     (c2, c1, c0), *differences = traces._H_ROWS[6, 1]
     monkeypatch.setitem(traces._H_ROWS, (6, 1), ((c2, c1, c0 + 2), *differences))
+
+
+def _h_bump(k, e):
+    # one more monomial at exponent e, in the coordinates of _h_coordinates:
+    # 2 cos(2 pi e / k) on the cosine sum, and +1 on count_e - count_-e (or
+    # -1 on the difference at -e) unless e = -e mod k
+    bump = [traces._TWO_COS[k][e]] + [0] * ((k - 1) // 2)
+    if 2 * e != k and e:
+        bump[min(e, k - e)] += 1 if 2 * e < k else -1
+    return bump
+
+
+def _h_count_fault(hit, residue):
+    # one more monomial at exponent residue mod k wherever hit holds
+    def fault(monkeypatch):
+        clean = traces._h_coordinates
+
+        def corrupted(m, k):
+            coordinates = clean(m, k)
+            if hit(m, k):
+                coordinates = list(map(add, coordinates, _h_bump(k, residue)))
+            return coordinates
+
+        monkeypatch.setattr(traces, "_h_coordinates", corrupted)
+
+    return fault
+
+
+# the same monomial as _h_table_fault, for k = 6 and every m = 1 mod 6
+_h_row_fault = _h_count_fault(lambda m, k: k == 6 and m % 6 == 1, 0)
+# one more monomial at exponent 1 and none at -1: h_m would not be real
+_h_asymmetry_fault = _h_count_fault(lambda m, k: True, 1)
+
+
+def _odd_cosine_fault(monkeypatch):
+    # 2 cos(pi / 2) read as 1: the cosine sums of h_1 and h_2 for k = 4 are
+    # 3 and 1, which halving with a floor would turn into the right 1 and 0
+    monkeypatch.setitem(traces._TWO_COS, 4, (2, 1, -2, 0))
+    monkeypatch.setattr(traces, "_H_ROWS", traces._h_rows())
+
+
+def _gl2_class_weight_fault(monkeypatch):
+    # the order-4 class of GL2(Z) weighted 1/2 instead of 1/4
+    weights = list(gl2._GL2_CLASS_WEIGHTS)
+    weights[4] = Fraction(1, 2)
+    monkeypatch.setattr(gl2, "_GL2_CLASS_WEIGHTS", tuple(weights))
 
 
 def _survivor_parity_fault(monkeypatch):
@@ -596,16 +480,6 @@ def _e1_degree_fault(monkeypatch):
     monkeypatch.setattr(WeylElement, "length", property(length))
 
 
-def _by_family(report):
-    # the records come family by family, in the order of CHECKS
-    out, start = {}, 0
-    for family, info in report["families"].items():
-        out[family] = report["failures"][start : start + info["failures"]]
-        start += info["failures"]
-    assert start == len(report["failures"])
-    return out
-
-
 def _sl3_euler_closed_fault(monkeypatch):
     # one too high wherever both coordinates are even
     clean = euler.sl3_euler_closed
@@ -625,195 +499,268 @@ def _minimal_survivor_fault(monkeypatch):
     _replace_route(monkeypatch, parity.minimal_parabolic_survives, corrupted)
 
 
-def _levi_weight_fault(monkeypatch):
-    # n of the P1 Levi weight of s1 . lam moved by 4, every parity kept
-    _shift_dot(monkeypatch, "s1", (2, 0, 0))
+def _shift_dot(name, shift):
+    # w . lam moved by shift for the Weyl element name
+    def fault(monkeypatch):
+        clean = WeylElement.dot
+
+        def corrupted(self, lam):
+            c = clean(self, lam)
+            return tuple(a + b for a, b in zip(c, shift)) if self.name == name else c
+
+        monkeypatch.setattr(WeylElement, "dot", corrupted)
+
+    return fault
 
 
-# (fault, family, check, spot): the fault makes family report check, and
-# with spot the seeded spot checks report it too
-_FAULT_ROWS = [
-    pytest.param(
-        _case_profile_fault, "boundary_assembly", "boundary_profile_vs_case_formula", True,
-        id="case_profile",
-    ),
-    pytest.param(
-        _case_profile_fault, "identities", "boundary_duality", True,
-        id="case_profile_duality",
-    ),
-    pytest.param(
-        _case_profile_fault, "identities", "eisenstein_inside_boundary", True,
-        id="case_profile_eisenstein_inside",
-    ),
-    pytest.param(
-        _eisenstein_fault, "identities", "chi_eis_equals_chi_h", True,
-        id="eisenstein_case_profile",
-    ),
-    pytest.param(
-        _eisenstein_fault, "identities", "half_boundary", True,
-        id="eisenstein_half_boundary",
-    ),
-    pytest.param(
-        _eisenstein_fault, "identities", "poincare_pair", True,
-        id="eisenstein_poincare_pair",
-    ),
-    pytest.param(
-        _eisenstein_h1_fault(2, 0), "identities", "eisenstein_h1_vanishes", False,
-        id="eisenstein_h1_case2",
-    ),
-    pytest.param(
-        _eisenstein_h1_fault(3, 0), "identities", "eisenstein_h1_vanishes", False,
-        id="eisenstein_h1_case3",
-    ),
-    pytest.param(
-        _eisenstein_h1_fault(4, 0), "identities", "eisenstein_h1_vanishes", True,
-        id="eisenstein_h1_case4_line",
-    ),
-    pytest.param(
-        _eisenstein_h1_fault(4, 1), "identities", "eisenstein_h1_vanishes", True,
-        id="eisenstein_h1_case4_m1",
-    ),
-    pytest.param(
-        _eisenstein_h1_fault(4, 2), "identities", "eisenstein_h1_vanishes", True,
-        id="eisenstein_h1_case4_m2",
-    ),
-    pytest.param(
-        _eisenstein_h1_fault(5, 0), "identities", "eisenstein_h1_vanishes", True,
-        id="eisenstein_h1_case5",
-    ),
-    pytest.param(
-        _eisenstein_h1_fault(8, 0), "identities", "eisenstein_h1_vanishes", True,
-        id="eisenstein_h1_case8",
-    ),
-    pytest.param(
-        _symbolic_cell_fault, "euler_routes", "euler_cell_vs_closed", True,
-        id="symbolic_cell",
-    ),
-    pytest.param(
-        _torsion_class_fault, "euler_routes", "sl3_euler_wall_vs_closed", True,
-        id="torsion_class",
-    ),
-    pytest.param(
-        _sl3_euler_closed_fault, "boundary_assembly", "boundary_euler_closed", True,
-        id="sl3_euler_closed",
-    ),
-    pytest.param(_gl2_euler_fault, "gl2_routes", "gl2_euler_wall_vs_closed", False, id="gl2_euler"),
-    pytest.param(_sl2_euler_fault, "gl2_routes", "sl2_additivity", False, id="sl2_euler"),
-    pytest.param(
-        _cusp_dimension_fault, "gl2_routes", "gl2_h1_dimension", False,
-        id="cusp_dimension",
-    ),
-    pytest.param(
-        _zeta_table_fault, "trace_routes", "gt_trace_vs_closed_trace", True,
-        id="zeta_table",
-    ),
-    pytest.param(_gt_m3_fault, "trace_routes", "gt_trace_m3_independence", True, id="gt_m3"),
-    pytest.param(
-        _gt_beyond_bound_fault, "random_spots", "gt_trace_vs_closed_trace", True,
-        id="gt_beyond_bound_closed",
-    ),
-    pytest.param(
-        _gt_beyond_bound_fault, "random_spots", "gt_trace_vs_weyl_det_trace", True,
-        id="gt_beyond_bound_weyl_det",
-    ),
-    pytest.param(_gt_table_fault, "trace_routes", "gt_trace_vs_closed_trace", True, id="gt_table"),
-    pytest.param(_h_table_fault, "trace_routes", "gt_trace_vs_weyl_det_trace", True, id="h_table"),
-    pytest.param(
-        _survivor_parity_fault, "survivors", "survivor_parity", False,
-        id="survivor_parity",
-    ),
-    pytest.param(
-        _minimal_survivor_fault, "survivors", "survivor_reflection", False,
-        id="minimal_survivor",
-    ),
-    pytest.param(_levi_weight_fault, "survivors", "levi_weight", False, id="levi_weight"),
-    pytest.param(
-        _survivor_a0_fault, "boundary_assembly", "boundary_profile_vs_case_formula", False,
-        id="survivor_a0",
-    ),
-    pytest.param(_ghost_rule_fault, "ghosts", "ghost_support", False, id="ghost_rule"),
-    pytest.param(_kostant_set_fault, "kostant", "kostant_set", False, id="kostant_set"),
-    pytest.param(
-        functools.partial(_kostant_set_fault, tag="P0"), "kostant", "kostant_set", False,
-        id="kostant_set_p0",
-    ),
-    pytest.param(
-        _e1_degree_fault, "boundary_assembly", "boundary_assembly_raised", False,
-        id="e1_degree",
-    ),
+def _d1_rank_fault(monkeypatch):
+    # d1 onto every minimal-face line, also where column 0 has no trivial line
+    monkeypatch.setattr(boundary, "d1_rank", lambda lam, col0, col1, q: 1)
+
+
+def test_a_zeta_sum_outside_the_integers_raises(monkeypatch):
+    # a broken route, not a bad argument
+    _gt_zeta_fault(monkeypatch)
+    with pytest.raises(CrossCheckError, match="^0 \\+ 1 zeta_3 is not an integer$"):
+        traces.gt_trace(2, 2, 0, 3)
+
+
+def test_an_odd_cosine_sum_raises(monkeypatch, cold_caches):
+    _odd_cosine_fault(monkeypatch)
+    assert traces._h_row(0, 4) == 1
+    for m, twice in ((1, 3), (2, 1)):
+        with pytest.raises(CrossCheckError, match=f"^cosine sum 2 h_{m} = {twice} "):
+            traces._h_row(m, 4)
+
+
+def test_gl2_torsion_sum_outside_the_integers_raises(monkeypatch):
+    _gl2_class_weight_fault(monkeypatch)
+    with pytest.raises(CrossCheckError) as err:
+        gl2.gl2_euler_wall(0, 0)
+    assert str(err.value) == "GL2 torsion sum at m=0, det_twist=0 is 5/4"
+
+
+def _by_family(report):
+    # the records come family by family, in the order of CHECKS
+    out, start = {}, 0
+    for family, info in report["families"].items():
+        out[family] = report["failures"][start : start + info["failures"]]
+        start += info["failures"]
+    assert start == len(report["failures"])
+    return out
+
+
+def _row(name, fault, digest, **fired):
+    # fired: each family that reports under the fault -> its check names
+    return pytest.param(
+        fault, {family: set(names.split()) for family, names in fired.items()}, digest, id=name
+    )
+
+
+# one row per injected fault: the exact check names that run_all(6) fires
+# in each family under it (a family not named fires none, random_spots
+# counts as a family), and the sha256 of json.dumps(run_all(6),
+# sort_keys=True), which pins every record, its order, parameters and text
+_FAULTS = [
+    _row("case_profile", _case_profile_fault,
+         "f128fede940daefb3d5422ba8a42c79356d6ba51a10451dbeaad120e1f838cc4",
+         boundary_assembly="boundary_profile_vs_case_formula",
+         identities="boundary_duality eisenstein_inside_boundary half_boundary poincare_pair",
+         random_spots="boundary_duality boundary_profile_vs_case_formula "
+         "eisenstein_inside_boundary half_boundary poincare_pair"),
+    _row("eisenstein_case_profile", _eisenstein_fault,
+         "f8f68eeb3fb8eecad20ee244387838a4c8569bf91989e85d9505215807f1f680",
+         identities="chi_eis_equals_chi_h half_boundary poincare_pair",
+         random_spots="chi_eis_equals_chi_h half_boundary poincare_pair"),
+    _row("eisenstein_h1_case2", _eisenstein_h1_fault(2, 0),
+         "f307b65f3fbe15c898592ec3fd4aa3be3937103a1905f702386efb34d1f8f3cc",
+         identities="eisenstein_h1_vanishes"),
+    _row("eisenstein_h1_case3", _eisenstein_h1_fault(3, 0),
+         "b86324d66c1d3c6c8113223d0ccbcd7773dc42fae75852cda29ee1efd3d709d7",
+         identities="eisenstein_h1_vanishes"),
+    _row("eisenstein_h1_case4_line", _eisenstein_h1_fault(4, 0),
+         "4e07d4d8487d08883848e76f49cff6ae68fc6123d9ceef2d8ac5fc5cb7659480",
+         identities="eisenstein_h1_vanishes",
+         random_spots="eisenstein_h1_vanishes"),
+    _row("eisenstein_h1_case4_m1", _eisenstein_h1_fault(4, 1),
+         "744e7811a5bf00583b0b09fa50bb850fd4ff49d2aeeab5bcd86fdaf812b9c316",
+         identities="eisenstein_h1_vanishes",
+         random_spots="eisenstein_h1_vanishes"),
+    _row("eisenstein_h1_case4_m2", _eisenstein_h1_fault(4, 2),
+         "21b6d14f53998fac7d09ad6323281b760cd7424376e826e188fd60894e1274d5",
+         identities="eisenstein_h1_vanishes",
+         random_spots="eisenstein_h1_vanishes"),
+    _row("eisenstein_h1_case5", _eisenstein_h1_fault(5, 0),
+         "aaee5c4c402fce5c59e63d5c568471543bf3d4034462fb717332ca016b7c6a7f",
+         identities="eisenstein_h1_vanishes",
+         random_spots="eisenstein_h1_vanishes"),
+    _row("eisenstein_h1_case8", _eisenstein_h1_fault(8, 0),
+         "74d37ef9b20eca25b91f0ed1af6ca242625bea00289a1041fb0f3ddffeb92c1e",
+         identities="eisenstein_h1_vanishes",
+         random_spots="eisenstein_h1_vanishes"),
+    _row("symbolic_cell", _symbolic_cell_fault,
+         "49b00adc03b9d4f9fd45f85e56f8e835812ef7528eda1ce222974119d38263f9",
+         euler_routes="euler_cell_vs_closed",
+         random_spots="euler_cell_vs_closed"),
+    _row("torsion_class", _torsion_class_fault,
+         "3fc58726398d0b7a8c84b461c2900a48939cc9ce0ee04db9097609393bf76a2c",
+         euler_routes="euler_cell_vs_closed sl3_euler_wall_vs_closed",
+         random_spots="euler_cell_vs_closed sl3_euler_wall_vs_closed"),
+    _row("torsion_sum", functools.partial(_torsion_class_fault, extra=1),
+         "fbe736a2741d3cb9682038f69a9d7199ecd05f45206ef539866a6b6ae00f84e1",
+         euler_routes="euler_routes_raised",
+         random_spots="random_spots_raised"),
+    _row("sl3_euler_closed", _sl3_euler_closed_fault,
+         "47f3ed1db47621ee3fc6f4256900efca7b4ae9ce6e99b9ad07afa65b07e907af",
+         euler_routes="euler_cell_vs_closed sl3_euler_wall_vs_closed",
+         boundary_assembly="boundary_euler_closed",
+         identities="chi_eis_equals_chi_h",
+         random_spots="boundary_euler_closed chi_eis_equals_chi_h euler_cell_vs_closed "
+         "sl3_euler_wall_vs_closed"),
+    _row("gl2_euler", _gl2_euler_fault,
+         "f772f8b2d06060451e6d8aa4ab6054c6228ce7bc31243e2c9bcaa8929fe950f0",
+         gl2_routes="gl2_euler_wall_vs_closed sl2_additivity"),
+    _row("sl2_euler", _sl2_euler_fault,
+         "9c402c6a38ce0e444aee741854cabe72778aed72d5a2b9f59e8d980a7aef61f4",
+         gl2_routes="sl2_additivity"),
+    _row("cusp_dimension", _cusp_dimension_fault,
+         "b6cc88313b2518b19430502edbd1a20367d4b602fb482efb309b5e09a65684a8",
+         gl2_routes="gl2_h1_dimension"),
+    _row("gl2_torsion_sum", _gl2_class_weight_fault,
+         "9850c031be8c078948dd3ad01ea3d94a67f6af385b8ae1befc6386cb29c8798b",
+         gl2_routes="gl2_routes_raised"),
+    _row("m6_table", _m6_fault,
+         "a259ecb90090687f0b649460f2aef2531dd3794a7d046a48acd818acda0ef8d8",
+         trace_routes="gt_trace_vs_closed_trace",
+         euler_routes="euler_cell_vs_closed sl3_euler_wall_vs_closed",
+         random_spots="euler_cell_vs_closed gt_trace_vs_closed_trace sl3_euler_wall_vs_closed"),
+    _row("zeta_table", _zeta_table_fault,
+         "5f85359347bd96c48b367914f95211312367be82ae2d63b81c3125ab80cb578a",
+         trace_routes="gt_trace_vs_closed_trace gt_trace_vs_weyl_det_trace",
+         random_spots="gt_trace_vs_closed_trace gt_trace_vs_weyl_det_trace"),
+    _row("gt_counts", _gt_counts_fault,
+         "f8b974147e1b565e75ac75dcf0601ac99755b5f24d6e3aa282cc7fac2f579513",
+         trace_routes="gt_trace_vs_closed_trace gt_trace_vs_weyl_det_trace"),
+    _row("gt_m3", _gt_m3_fault,
+         "f9ed0584b7eb86e3864c3c9418fc5f533866e9b495a84d64b898c811cf492dc8",
+         trace_routes="gt_trace_m3_independence",
+         random_spots="gt_trace_m3_independence"),
+    _row("gt_beyond_bound", _gt_beyond_bound_fault,
+         "950c7f5689fb6a73a70a5f409f570f666c273d4fe1d725f50d3313c060e8ff33",
+         random_spots="gt_trace_vs_closed_trace gt_trace_vs_weyl_det_trace"),
+    _row("gt_table", _gt_table_fault,
+         "ee2e1f193ac799bff2288f26ab5e557d32e829d87f0f2a626af09988788ef966",
+         trace_routes="gt_trace_vs_closed_trace gt_trace_vs_weyl_det_trace",
+         random_spots="gt_trace_vs_closed_trace gt_trace_vs_weyl_det_trace"),
+    _row("zeta_sum", _gt_zeta_fault,
+         "22675640989e67619a4ec4083b56a8ea2fa88152b6fabeff93119ffb930fcb70",
+         trace_routes="trace_routes_raised"),
+    _row("h_table", _h_table_fault,
+         "2d923628fc0678aa1bd8881d22c430cf00847af1ddbac3264cfed6b6bce26a56",
+         trace_routes="gt_trace_vs_weyl_det_trace",
+         random_spots="gt_trace_vs_weyl_det_trace"),
+    _row("h_row", _h_row_fault,
+         "d780974b0b98e627080b2ad7a2ebe92e62d21b212bf4eb2c81ceb9b903ece53d",
+         trace_routes="gt_trace_vs_weyl_det_trace",
+         random_spots="gt_trace_vs_weyl_det_trace"),
+    _row("h_counts_symmetry", _h_asymmetry_fault,
+         "d7a84a5ff9718c10082384e7acb5596b40f8ed1044d36a9a3ad9b2d275515348",
+         trace_routes="trace_routes_raised",
+         random_spots="random_spots_raised"),
+    _row("odd_cosine_sum", _odd_cosine_fault,
+         "47022ab103d756a7a3bf9a7884e538a19df6326a149bdce7d63b0a29f0ddab6d",
+         trace_routes="trace_routes_raised",
+         random_spots="random_spots_raised"),
+    _row("survivor_parity", _survivor_parity_fault,
+         "5996f3e894fa9e2111a27fe3fa79b91013ded1bc57fa830af1a9b36d0443c8e9",
+         survivors="survivor_parity",
+         boundary_assembly="boundary_euler_closed boundary_profile_vs_case_formula",
+         random_spots="boundary_euler_closed boundary_profile_vs_case_formula"),
+    _row("minimal_survivor", _minimal_survivor_fault,
+         "37ef1cb6d6fdb8037ce136d698c0cd160d9f766f15b5ebb633fdd006d7183a99",
+         survivors="survivor_reflection",
+         boundary_assembly="boundary_assembly_raised",
+         random_spots="random_spots_raised"),
+    _row("levi_weight", _shift_dot("s1", (2, 0, 0)),
+         "4a3d84c432b255d5cdf0b977ddf3044bce48699125bcf566930cf014b766d167",
+         survivors="levi_weight"),
+    _row("levi_s2", _shift_dot("s2", (0, 0, 2)),
+         "e925ef3899c3e04ace4a294149d007a1edddab212b176079fd13f935e07369c7",
+         survivors="levi_weight"),
+    _row("levi_s2s1", _shift_dot("s2s1", (0, 0, 2)),
+         "762051c4b3aeb59b73ce653ec5f04922c47aca3124529ae9b40095f42775279a",
+         survivors="levi_weight"),
+    _row("levi_s1s2", _shift_dot("s1s2", (2, 0, 0)),
+         "150c5d490b199202c014a3c3ce828cdbe64fa7f94d65cc06abbc2d35aeb8f9cb",
+         survivors="levi_weight"),
+    _row("weyl_action", _shift_dot("s1", (0, 2, 0)),
+         "54bcbef2b27c220461666e9d7adaf2d6f7cbf13a78299ee6d79eaf06a5684ed7",
+         survivors="levi_weight",
+         boundary_assembly="boundary_euler_closed boundary_profile_vs_case_formula",
+         random_spots="boundary_euler_closed boundary_profile_vs_case_formula"),
+    _row("survivor_a0", _survivor_a0_fault,
+         "c1e3784e25bc9f22baefc8c3f668000ab1a8e294726fe78a3db9f046f6c9d5c6",
+         boundary_assembly="boundary_euler_closed boundary_profile_vs_case_formula",
+         random_spots="boundary_euler_closed boundary_profile_vs_case_formula"),
+    _row("ghost_rule", _ghost_rule_fault,
+         "8028af84c0155b5b4c8e67337d0232ff85cdc54497eadc059c14ee3bfa24278c",
+         ghosts="ghost_support"),
+    _row("kostant_set", _kostant_set_fault,
+         "03e768762333d285195fe3e2f660c00d5aa9e9d1de1df4ed85d735c6f18ef6f8",
+         kostant="kostant_set",
+         survivors="survivor_reflection",
+         boundary_assembly="boundary_euler_closed boundary_profile_vs_case_formula",
+         random_spots="boundary_euler_closed boundary_profile_vs_case_formula"),
+    _row("kostant_set_p0", functools.partial(_kostant_set_fault, tag="P0"),
+         "1aeb92cee9b30a4f3ba37c5ca0d62845033545c62805d60d72189174c500f3ce",
+         kostant="kostant_set",
+         boundary_assembly="boundary_euler_closed boundary_profile_vs_case_formula",
+         random_spots="boundary_euler_closed boundary_profile_vs_case_formula"),
+    _row("e1_degree", _e1_degree_fault,
+         "8c3df9313a36f398c63cbe70bbd751694bf41e78c0c407ecd37de5c368946250",
+         kostant="kostant_set",
+         boundary_assembly="boundary_assembly_raised",
+         random_spots="random_spots_raised"),
+    _row("d1_two_targets", _shift_dot("s1", (1, 0, 0)),
+         "f78c4601f211f7792dfe4568c3260d8d0fc58fd0af05a5f4de5a40066830d5ac",
+         survivors="levi_weight survivor_reflection",
+         boundary_assembly="boundary_assembly_raised",
+         random_spots="random_spots_raised"),
+    _row("levi_a_negative", _shift_dot("e", (0, 2, 0)),
+         "120680850926c5f394133508c4cddf0e01a0446bab34931bf6e9c5baa02ebbe4",
+         survivors="survivors_raised",
+         boundary_assembly="boundary_assembly_raised",
+         random_spots="random_spots_raised"),
+    _row("d1_rank_no_line", _d1_rank_fault,
+         "61660e9cece388ceb50e64506b7e1cf3478a381b316bc26b954cb3c95e18fb0c",
+         boundary_assembly="boundary_assembly_raised",
+         random_spots="random_spots_raised"),
 ]
 
 
-@pytest.mark.parametrize("fault, family, check, spot", _FAULT_ROWS)
-def test_each_family_fails_when_its_route_is_corrupted(
-    monkeypatch, cold_boundary_caches, cold_h_row, fault, family, check, spot
-):
+@pytest.mark.parametrize("fault, fired, digest", _FAULTS)
+def test_each_fault_row_keeps_its_records(monkeypatch, cold_caches, fault, fired, digest):
     fault(monkeypatch)
     report = run_all(max_weight=6)
-    assert not report["ok"]
+    # every family ran, in order, also after one that raised
+    assert list(report["families"]) == [family for family, _ in CHECKS]
     records = _by_family(report)
-    names = {f["check"] for f in records[family]}
-    assert check in names
-    # spot checks run the trace, euler, boundary and identity comparisons
-    spots = records["random_spots"]
+    got = {family: {f["check"] for f in own} for family, own in records.items() if own}
+    assert got == fired
+    for family, own in records.items():
+        if any(f["check"].endswith("_raised") for f in own):
+            # a family that raised counts one failure, which names the family
+            raised = [(f"{family}_raised", {"family": family})]
+            assert [(f["check"], f["params"]) for f in own] == raised
+    # the spot checks rerun the trace, euler, boundary and identity
+    # comparisons, and flag each record they make
     assert all(
-        f["params"].get("spot") is True or f["check"] == "random_spots_raised"
-        for f in spots
+        f["params"].get("spot") is True
+        for f in records["random_spots"]
+        if f["check"] != "random_spots_raised"
     )
-    if spot:
-        assert check in {f["check"] for f in spots}
-
-
-# sha256 of json.dumps(run_all(6), sort_keys=True) under each fault row:
-# the rows above name a check, these pin every record, its order,
-# parameters and text
-_FAULT_DIGESTS = {
-    "case_profile": "f128fede940daefb3d5422ba8a42c79356d6ba51a10451dbeaad120e1f838cc4",
-    "case_profile_duality": "f128fede940daefb3d5422ba8a42c79356d6ba51a10451dbeaad120e1f838cc4",
-    "case_profile_eisenstein_inside": "f128fede940daefb3d5422ba8a42c79356d6ba51a10451dbeaad120e1f838cc4",
-    "eisenstein_case_profile": "f8f68eeb3fb8eecad20ee244387838a4c8569bf91989e85d9505215807f1f680",
-    "eisenstein_half_boundary": "f8f68eeb3fb8eecad20ee244387838a4c8569bf91989e85d9505215807f1f680",
-    "eisenstein_poincare_pair": "f8f68eeb3fb8eecad20ee244387838a4c8569bf91989e85d9505215807f1f680",
-    "eisenstein_h1_case2": "f307b65f3fbe15c898592ec3fd4aa3be3937103a1905f702386efb34d1f8f3cc",
-    "eisenstein_h1_case3": "b86324d66c1d3c6c8113223d0ccbcd7773dc42fae75852cda29ee1efd3d709d7",
-    "eisenstein_h1_case4_line": "4e07d4d8487d08883848e76f49cff6ae68fc6123d9ceef2d8ac5fc5cb7659480",
-    "eisenstein_h1_case4_m1": "744e7811a5bf00583b0b09fa50bb850fd4ff49d2aeeab5bcd86fdaf812b9c316",
-    "eisenstein_h1_case4_m2": "21b6d14f53998fac7d09ad6323281b760cd7424376e826e188fd60894e1274d5",
-    "eisenstein_h1_case5": "aaee5c4c402fce5c59e63d5c568471543bf3d4034462fb717332ca016b7c6a7f",
-    "eisenstein_h1_case8": "74d37ef9b20eca25b91f0ed1af6ca242625bea00289a1041fb0f3ddffeb92c1e",
-    "symbolic_cell": "49b00adc03b9d4f9fd45f85e56f8e835812ef7528eda1ce222974119d38263f9",
-    "torsion_class": "3fc58726398d0b7a8c84b461c2900a48939cc9ce0ee04db9097609393bf76a2c",
-    "sl3_euler_closed": "47f3ed1db47621ee3fc6f4256900efca7b4ae9ce6e99b9ad07afa65b07e907af",
-    "gl2_euler": "f772f8b2d06060451e6d8aa4ab6054c6228ce7bc31243e2c9bcaa8929fe950f0",
-    "sl2_euler": "9c402c6a38ce0e444aee741854cabe72778aed72d5a2b9f59e8d980a7aef61f4",
-    "cusp_dimension": "b6cc88313b2518b19430502edbd1a20367d4b602fb482efb309b5e09a65684a8",
-    "zeta_table": "5f85359347bd96c48b367914f95211312367be82ae2d63b81c3125ab80cb578a",
-    "gt_m3": "f9ed0584b7eb86e3864c3c9418fc5f533866e9b495a84d64b898c811cf492dc8",
-    "gt_beyond_bound_closed": "950c7f5689fb6a73a70a5f409f570f666c273d4fe1d725f50d3313c060e8ff33",
-    "gt_beyond_bound_weyl_det": "950c7f5689fb6a73a70a5f409f570f666c273d4fe1d725f50d3313c060e8ff33",
-    "gt_table": "ee2e1f193ac799bff2288f26ab5e557d32e829d87f0f2a626af09988788ef966",
-    "h_table": "2d923628fc0678aa1bd8881d22c430cf00847af1ddbac3264cfed6b6bce26a56",
-    "survivor_parity": "5996f3e894fa9e2111a27fe3fa79b91013ded1bc57fa830af1a9b36d0443c8e9",
-    "minimal_survivor": "37ef1cb6d6fdb8037ce136d698c0cd160d9f766f15b5ebb633fdd006d7183a99",
-    "levi_weight": "4a3d84c432b255d5cdf0b977ddf3044bce48699125bcf566930cf014b766d167",
-    "survivor_a0": "c1e3784e25bc9f22baefc8c3f668000ab1a8e294726fe78a3db9f046f6c9d5c6",
-    "ghost_rule": "8028af84c0155b5b4c8e67337d0232ff85cdc54497eadc059c14ee3bfa24278c",
-    "kostant_set": "03e768762333d285195fe3e2f660c00d5aa9e9d1de1df4ed85d735c6f18ef6f8",
-    "kostant_set_p0": "1aeb92cee9b30a4f3ba37c5ca0d62845033545c62805d60d72189174c500f3ce",
-    "e1_degree": "8c3df9313a36f398c63cbe70bbd751694bf41e78c0c407ecd37de5c368946250",
-}
-
-
-@pytest.mark.parametrize(
-    "fault, digest",
-    [pytest.param(row.values[0], _FAULT_DIGESTS[row.id], id=row.id) for row in _FAULT_ROWS],
-)
-def test_each_fault_row_keeps_its_records(
-    monkeypatch, cold_boundary_caches, cold_h_row, fault, digest
-):
-    fault(monkeypatch)
-    report = json.dumps(run_all(max_weight=6), sort_keys=True)
-    assert hashlib.sha256(report.encode()).hexdigest() == digest
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _registry_check_names():
@@ -834,137 +781,13 @@ def _registry_check_names():
 def test_every_check_name_fires_under_some_fault():
     names = _registry_check_names()
     assert {"kostant_set", "ghost_support", "poincare_pair"} <= names
-    assert names - {row.values[2] for row in _FAULT_ROWS} == set()
+    fired = set()
+    for row in _FAULTS:
+        fired.update(*row.values[1].values())
+    assert names - fired == set()
 
 
-@pytest.mark.parametrize(
-    "tag, got", [("P0", "['e', 's1', 's2']"), ("P1", "['e', 's1']")]
-)
-def test_a_kostant_set_fault_names_its_parabolic(monkeypatch, cold_boundary_caches, tag, got):
-    _kostant_set_fault(monkeypatch, tag)
-    assert checks.kostant(0, 0) == [
-        {"check": "kostant_set", "params": {"parabolic": tag}, "detail": f"got {got}"}
-    ]
-
-
-def test_the_survivor_parity_fault_fires_only_survivor_parity(
-    monkeypatch, cold_boundary_caches
-):
-    # survives without its "n even" clause: only the n parity of a
-    # survivor's Levi weight can be wrong, GL2Weight checks a >= 0 and a = n
-    _survivor_parity_fault(monkeypatch)
-    names = {f["check"] for f in dict(CHECKS)["survivors"](6, 0)}
-    assert names == {"survivor_parity"}
-
-
-def _flagged(records, check):
-    return {
-        (f["params"]["m1"], f["params"]["m2"], f["params"]["k"])
-        for f in records
-        if f["check"] == check
-    }
-
-
-def test_a_zeta_power_fault_reaches_one_counting_route(monkeypatch, cold_h_row):
-    # gt_trace evaluates its counts at the powers of zeta_k, weyl_det_trace
-    # at its own cosines: a wrong power shows against both other routes
-    _zeta_table_fault(monkeypatch)
-    records = dict(CHECKS)["trace_routes"](6, 0)
-    closed = _flagged(records, "gt_trace_vs_closed_trace")
-    assert closed
-    assert closed == _flagged(records, "gt_trace_vs_weyl_det_trace")
-
-
-def _gt_zeta_fault(monkeypatch):
-    _bump_gt_counts(monkeypatch, lambda m1, m2, m3, k: (m1, m2, k) == (2, 2, 3), 1)
-
-
-def test_a_zeta_sum_outside_the_integers_raises(monkeypatch):
-    # a broken route, not a bad argument
-    _gt_zeta_fault(monkeypatch)
-    with pytest.raises(CrossCheckError, match="^0 \\+ 1 zeta_3 is not an integer$"):
-        traces.gt_trace(2, 2, 0, 3)
-
-
-def _h_asymmetry_fault(monkeypatch):
-    # one more monomial at exponent 1 and none at -1: h_m would not be real
-    _bump_h_counts(monkeypatch, lambda m, k: True, 1)
-
-
-def _odd_cosine_fault(monkeypatch):
-    # 2 cos(pi / 2) read as 1: the cosine sums of h_1 and h_2 for k = 4 are
-    # 3 and 1, which halving with a floor would turn into the right 1 and 0
-    monkeypatch.setitem(traces._TWO_COS, 4, (2, 1, -2, 0))
-    monkeypatch.setattr(traces, "_H_ROWS", traces._h_rows())
-
-
-def test_an_odd_cosine_sum_raises(monkeypatch, cold_h_row):
-    _odd_cosine_fault(monkeypatch)
-    assert traces._h_row(0, 4) == 1
-    for m, twice in ((1, 3), (2, 1)):
-        with pytest.raises(CrossCheckError, match=f"^cosine sum 2 h_{m} = {twice} "):
-            traces._h_row(m, 4)
-
-
-def _gl2_class_weight_fault(monkeypatch):
-    # the order-4 class of GL2(Z) weighted 1/2 instead of 1/4
-    weights = list(gl2._GL2_CLASS_WEIGHTS)
-    weights[4] = Fraction(1, 2)
-    monkeypatch.setattr(gl2, "_GL2_CLASS_WEIGHTS", tuple(weights))
-
-
-def test_gl2_torsion_sum_outside_the_integers_raises(monkeypatch):
-    _gl2_class_weight_fault(monkeypatch)
-    with pytest.raises(CrossCheckError) as err:
-        gl2.gl2_euler_wall(0, 0)
-    assert str(err.value) == "GL2 torsion sum at m=0, det_twist=0 is 5/4"
-
-
-@pytest.mark.parametrize(
-    "fault, family, detail",
-    [
-        (
-            lambda mp: _torsion_class_fault(mp, extra=1),
-            "euler_routes",
-            "CrossCheckError: torsion sum at HighestWeight(m1=0, m2=0, m3=None) "
-            "is 5/4, not an integer",
-        ),
-        (
-            _gt_zeta_fault,
-            "trace_routes",
-            "CrossCheckError: 0 + 1 zeta_3 is not an integer",
-        ),
-        (
-            _gl2_class_weight_fault,
-            "gl2_routes",
-            "CrossCheckError: GL2 torsion sum at m=0, det_twist=0 is 5/4",
-        ),
-        (
-            _h_asymmetry_fault,
-            "trace_routes",
-            "CrossCheckError: counts of h_0 for k = 3 are not symmetric: [1]",
-        ),
-        (
-            _odd_cosine_fault,
-            "trace_routes",
-            "CrossCheckError: cosine sum 2 h_1 = 3 for k = 4 is odd",
-        ),
-    ],
-    ids=[
-        "torsion_sum", "zeta_sum", "gl2_torsion_sum", "h_counts_symmetry",
-        "odd_cosine_sum",
-    ],
-)
-def test_a_sum_outside_the_integers_is_recorded(
-    monkeypatch, cold_h_row, fault, family, detail
-):
-    fault(monkeypatch)
-    records = _by_family(run_all(max_weight=6))[family]
-    assert [f["check"] for f in records] == [f"{family}_raised"]
-    assert records[0]["detail"] == detail
-
-
-def test_per_weight_caches_stay_bounded_and_shared(cold_boundary_caches):
+def test_per_weight_caches_stay_bounded_and_shared(cold_caches):
     run_all(max_weight=12)
     # the E1 page and dim S_k are read once per call: neither keeps a value
     assert boundary.e1_page.cache_info().currsize == 0

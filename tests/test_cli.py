@@ -344,7 +344,7 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert out.split("failures:\n", 1)[1] == records + "\n"
 
 
-def test_verify_exits_one_when_a_route_raises(capsys, monkeypatch, cold_boundary_caches):
+def test_verify_exits_one_when_a_route_raises(capsys, monkeypatch, cold_caches):
     clean = WeylElement.dot
 
     def corrupted(self, lam):

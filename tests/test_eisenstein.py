@@ -42,7 +42,7 @@ def test_eisenstein_case_profiles(case):
 
 
 
-def test_an_edited_case_row_is_read_after_first_use(monkeypatch, cold_boundary_caches):
+def test_an_edited_case_row_is_read_after_first_use(monkeypatch, cold_caches):
     # the parsed summands are keyed by their strings, not by table and case
     lam = HighestWeight(2, 3)  # case 5
     case_profile(lam), eisenstein_case_profile(lam)

@@ -191,7 +191,7 @@ def _outside_the_integers(monkeypatch):
     ids=["symbolic_cell", "symbolic_table", "euler_values", "euler_report"],
 )
 def test_a_cell_table_that_does_not_fit_raises_at_each_read(
-    monkeypatch, cold_boundary_caches, call
+    monkeypatch, cold_caches, call
 ):
     _outside_the_integers(monkeypatch)
     # not cached: the next read fits again and raises again
