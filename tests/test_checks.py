@@ -550,6 +550,18 @@ def _by_family(report):
     return out
 
 
+_REPORTS = {}
+
+
+def _report_under(monkeypatch, fault):
+    # run_all(6) under fault, run once per fault and shared by the tests
+    # that read it: the report depends on nothing but the fault
+    fault(monkeypatch)
+    if fault not in _REPORTS:
+        _REPORTS[fault] = run_all(max_weight=6)
+    return _REPORTS[fault]
+
+
 def _row(name, fault, digest, **fired):
     # fired: each family that reports under the fault -> its check names
     return pytest.param(
@@ -736,12 +748,25 @@ _FAULTS = [
          boundary_assembly="boundary_assembly_raised",
          random_spots="random_spots_raised"),
 ]
+_ROW = {row.id: row for row in _FAULTS}
+
+# three rows also run under one id for each further check name they fire
+_ALIASES = {
+    "case_profile_duality": "case_profile",
+    "case_profile_eisenstein_inside": "case_profile",
+    "eisenstein_half_boundary": "eisenstein_case_profile",
+    "eisenstein_poincare_pair": "eisenstein_case_profile",
+    "gt_beyond_bound_closed": "gt_beyond_bound",
+    "gt_beyond_bound_weyl_det": "gt_beyond_bound",
+}
 
 
-@pytest.mark.parametrize("fault, fired, digest", _FAULTS)
+@pytest.mark.parametrize(
+    "fault, fired, digest",
+    _FAULTS + [pytest.param(*_ROW[row].values, id=alias) for alias, row in _ALIASES.items()],
+)
 def test_each_fault_row_keeps_its_records(monkeypatch, cold_caches, fault, fired, digest):
-    fault(monkeypatch)
-    report = run_all(max_weight=6)
+    report = _report_under(monkeypatch, fault)
     # every family ran, in order, also after one that raised
     assert list(report["families"]) == [family for family, _ in CHECKS]
     records = _by_family(report)
@@ -761,6 +786,136 @@ def test_each_fault_row_keeps_its_records(monkeypatch, cold_caches, fault, fired
     )
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# under each id, the fault of row ("-": the row of that id) makes family
+# report check, and with "spot" the seeded spot checks report it too
+_NAMED_CHECKS = """
+case_profile - boundary_assembly boundary_profile_vs_case_formula spot
+case_profile_duality case_profile identities boundary_duality spot
+case_profile_eisenstein_inside case_profile identities eisenstein_inside_boundary spot
+eisenstein_case_profile - identities chi_eis_equals_chi_h spot
+eisenstein_half_boundary eisenstein_case_profile identities half_boundary spot
+eisenstein_poincare_pair eisenstein_case_profile identities poincare_pair spot
+eisenstein_h1_case2 - identities eisenstein_h1_vanishes
+eisenstein_h1_case3 - identities eisenstein_h1_vanishes
+eisenstein_h1_case4_line - identities eisenstein_h1_vanishes spot
+eisenstein_h1_case4_m1 - identities eisenstein_h1_vanishes spot
+eisenstein_h1_case4_m2 - identities eisenstein_h1_vanishes spot
+eisenstein_h1_case5 - identities eisenstein_h1_vanishes spot
+eisenstein_h1_case8 - identities eisenstein_h1_vanishes spot
+symbolic_cell - euler_routes euler_cell_vs_closed spot
+torsion_class - euler_routes sl3_euler_wall_vs_closed spot
+sl3_euler_closed - boundary_assembly boundary_euler_closed spot
+gl2_euler - gl2_routes gl2_euler_wall_vs_closed
+sl2_euler - gl2_routes sl2_additivity
+cusp_dimension - gl2_routes gl2_h1_dimension
+zeta_table - trace_routes gt_trace_vs_closed_trace spot
+gt_m3 - trace_routes gt_trace_m3_independence spot
+gt_beyond_bound_closed gt_beyond_bound random_spots gt_trace_vs_closed_trace spot
+gt_beyond_bound_weyl_det gt_beyond_bound random_spots gt_trace_vs_weyl_det_trace spot
+gt_table - trace_routes gt_trace_vs_closed_trace spot
+h_table - trace_routes gt_trace_vs_weyl_det_trace spot
+survivor_parity - survivors survivor_parity
+minimal_survivor - survivors survivor_reflection
+levi_weight - survivors levi_weight
+survivor_a0 - boundary_assembly boundary_profile_vs_case_formula
+ghost_rule - ghosts ghost_support
+kostant_set - kostant kostant_set
+kostant_set_p0 - kostant kostant_set
+e1_degree - boundary_assembly boundary_assembly_raised
+"""
+
+
+def _named_checks():
+    for line in _NAMED_CHECKS.strip().splitlines():
+        name, row, family, check, *spot = line.split()
+        fault = _ROW[name if row == "-" else row].values[0]
+        yield pytest.param(fault, family, check, bool(spot), id=name)
+
+
+@pytest.mark.parametrize("fault, family, check, spot", _named_checks())
+def test_each_family_fails_when_its_route_is_corrupted(
+    monkeypatch, cold_caches, fault, family, check, spot
+):
+    report = _report_under(monkeypatch, fault)
+    assert not report["ok"]
+    records = _by_family(report)
+    assert check in {f["check"] for f in records[family]}
+    if spot:
+        assert check in {f["check"] for f in records["random_spots"]}
+
+
+def test_injected_table_fault_is_caught(monkeypatch, cold_caches):
+    report = _report_under(monkeypatch, _ROW["m6_table"].values[0])
+    assert traces.closed_trace(0, 0, 0, 6) == 7
+    assert not report["ok"]
+    for record in report["failures"]:
+        assert set(record) == {"check", "params", "detail"}
+    hits = [
+        f
+        for f in report["failures"]
+        if f["check"] == "gt_trace_vs_closed_trace" and f["params"]["k"] == 6
+    ]
+    assert any(f["params"]["m1"] % 6 == 0 and f["params"]["m2"] % 6 == 0 for f in hits)
+
+
+def test_injected_fault_leaves_other_orders_alone(monkeypatch, cold_caches):
+    _m6_fault(monkeypatch)
+    failures = dict(CHECKS)["trace_routes"](6, 0)
+    assert failures
+    assert all(f["params"]["k"] == 6 for f in failures)
+    assert all(f["check"] == "gt_trace_vs_closed_trace" for f in failures)
+
+
+@pytest.mark.parametrize(
+    "name, row",
+    # each moves n of one Levi weight by 4 and keeps every parity
+    [("s1", "levi_weight"), ("s2", "levi_s2"), ("s2s1", "levi_s2s1"), ("s1s2", "levi_s1s2")],
+    ids=["s1-shift0", "s2-shift1", "s2s1-shift2", "s1s2-shift3"],
+)
+def test_levi_coordinate_n_is_pinned(monkeypatch, cold_caches, name, row):
+    report = _report_under(monkeypatch, _ROW[row].values[0])
+    assert not report["ok"]
+    levi = [f for f in _by_family(report)["survivors"] if f["check"] == "levi_weight"]
+    assert levi
+    assert {f["params"]["w"] for f in levi} == {name}
+
+
+@pytest.mark.parametrize(
+    "tag, got", [("P0", "['e', 's1', 's2']"), ("P1", "['e', 's1']")]
+)
+def test_a_kostant_set_fault_names_its_parabolic(monkeypatch, cold_caches, tag, got):
+    _kostant_set_fault(monkeypatch, tag)
+    assert checks.kostant(0, 0) == [
+        {"check": "kostant_set", "params": {"parabolic": tag}, "detail": f"got {got}"}
+    ]
+
+
+def test_the_survivor_parity_fault_fires_only_survivor_parity(monkeypatch, cold_caches):
+    # survives without its "n even" clause: only the n parity of a
+    # survivor's Levi weight can be wrong, GL2Weight checks a >= 0 and a = n
+    _survivor_parity_fault(monkeypatch)
+    names = {f["check"] for f in dict(CHECKS)["survivors"](6, 0)}
+    assert names == {"survivor_parity"}
+
+
+def _flagged(records, check):
+    return {
+        (f["params"]["m1"], f["params"]["m2"], f["params"]["k"])
+        for f in records
+        if f["check"] == check
+    }
+
+
+def test_a_zeta_power_fault_reaches_one_counting_route(monkeypatch, cold_caches):
+    # gt_trace evaluates its counts at the powers of zeta_k, weyl_det_trace
+    # at its own cosines: a wrong power shows against both other routes
+    _zeta_table_fault(monkeypatch)
+    records = dict(CHECKS)["trace_routes"](6, 0)
+    closed = _flagged(records, "gt_trace_vs_closed_trace")
+    assert closed
+    assert closed == _flagged(records, "gt_trace_vs_weyl_det_trace")
 
 
 def _registry_check_names():
